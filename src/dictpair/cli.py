@@ -292,9 +292,10 @@ def cmd_gradcheck(args) -> int:
         np.fill_diagonal(W_l, 0.0)
         u = rng.uniform(0.5, 2.0, 8)
         h = rng.uniform(0.5, 2.0, 5)
-        M_l, Mbar_l = solver.compute_means(rng.standard_normal((3, 5)), X_l, Xbar_l)
-        A, B = solver.analysis_system(X_l, Xbar_l, S_l, W_l, u, h, M_l, Mbar_l, hp)
-        P_l = solver.update_P(X_l, Xbar_l, S_l, W_l, u, h, M_l, Mbar_l, hp)
+        ds = partition_by_class(np.hstack([X_l, Xbar_l]), np.repeat([1, 2], [8, 6]))
+        m, mbar = solver.compute_means(rng.standard_normal((3, 5)), X_l, ds.sample_sum, ds.n_samples)
+        A, B, _ = solver.analysis_system(X_l, ds.gram, S_l, W_l, u, h, m, mbar, hp)
+        P_l, _ = solver.update_P(X_l, ds.gram, S_l, W_l, u, h, m, mbar, hp)
         worst = max(worst, np.linalg.norm(P_l @ A - B) / np.linalg.norm(B))
     record("analysis-solve-residual", worst < 1e-8, f"worst relative residual {worst:.3e}")
 
@@ -381,10 +382,9 @@ def _frozen_sweep(ds, pair, codes, weights, rw, hp) -> None:
     """One full sweep of P, S, D, W updates with the diagonals held fixed."""
     for l in range(ds.n_classes):
         X_l = ds.class_matrix(l + 1)
-        Xbar_l = ds.complement_matrix(l + 1)
-        M_l, Mbar_l = solver.compute_means(pair.P[l], X_l, Xbar_l)
-        pair.P[l] = solver.update_P(
-            X_l, Xbar_l, codes.S[l], weights.W[l], rw.u[l], rw.h[l], M_l, Mbar_l, hp
+        m, mbar = solver.compute_means(pair.P[l], X_l, ds.sample_sum, ds.n_samples)
+        pair.P[l], _ = solver.update_P(
+            X_l, ds.gram, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp
         )
         codes.S[l] = solver.update_S(X_l, pair.D[l], pair.P[l], codes.S[l], rw.u[l], rw.v[l], hp.tau)
         pair.D[l] = solver.update_D(X_l, codes.S[l], rw.v[l], hp.tau)

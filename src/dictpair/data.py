@@ -8,6 +8,7 @@ save, so doubles round-trip exactly). A labels file holds one integer per line.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +54,24 @@ class LabeledDataset:
         """Columns of class ``label`` (1-based), in original order."""
         return self.X[:, self.per_class[label - 1]]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``X X'`` (n x n), computed once per dataset (``X`` is not to be
+        modified afterwards). Every complement-class quantity the solver needs
+        follows from it and the class blocks, e.g.
+        ``Xbar_l Xbar_l' = X X' - X_l X_l'``."""
+        return self.X @ self.X.T
+
+    @cached_property
+    def sample_sum(self) -> np.ndarray:
+        """``X 1``, the sum of all columns (length n), computed once per dataset."""
+        return self.X.sum(axis=1)
+
     def complement_matrix(self, label: int) -> np.ndarray:
-        """All columns not belonging to ``label``; empty (n x 0) when c = 1."""
+        """All columns not belonging to ``label``; empty (n x 0) when c = 1.
+
+        A full copy of the complement; the solver never builds it (see ``gram``).
+        """
         mask = np.ones(self.n_samples, dtype=bool)
         mask[self.per_class[label - 1]] = False
         return self.X[:, mask]
@@ -64,7 +81,10 @@ class LabeledDataset:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix from the text format ``rows cols`` + values."""
+    """Read a dense matrix from the text format ``rows cols`` + values.
+
+    Rejects a NaN or infinite value, naming the file and its position.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -84,6 +104,10 @@ def load_matrix(path) -> np.ndarray:
         values = np.array([float(t) for t in tokens], dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric token ({exc})") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}: non-finite value {tokens[i]!r} at row {i // cols}, column {i % cols}")
     return values.reshape(rows, cols)
 
 
@@ -141,7 +165,10 @@ def random_projection_features(X: np.ndarray, d: int, seed: int) -> np.ndarray:
 
 
 def partition_by_class(X: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-    """Group columns by class label, preserving within-class column order."""
+    """Group columns by class label, preserving within-class column order.
+
+    Rejects a matrix with a NaN or infinite entry, naming the first such column.
+    """
     labels = np.asarray(labels, dtype=int)
     if labels.ndim != 1 or labels.size != X.shape[1]:
         raise ValueError("labels length must equal the number of columns")
@@ -151,6 +178,9 @@ def partition_by_class(X: np.ndarray, labels: np.ndarray) -> LabeledDataset:
     for l in range(1, c + 1):
         if not np.any(labels == l):
             raise ValueError(f"class {l} is empty")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"column {int(np.argmin(finite))} contains a non-finite value (NaN or inf)")
     return LabeledDataset(X=X, labels=labels)
 
 

@@ -17,7 +17,7 @@ Model file format (text, round-trip exact):
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,15 +102,6 @@ class ReweightState:
     h: list[np.ndarray]
     u: list[np.ndarray]
     v: list[np.ndarray]
-
-
-@dataclass
-class MeanMatrices:
-    """Replicated class-mean code matrices: every column of M_l equals the mean
-    of P_l X_l, every column of Mbar_l the mean of P_l Xbar_l (zero if c=1)."""
-
-    M: list[np.ndarray]
-    Mbar: list[np.ndarray] = field(default_factory=list)
 
 
 def _unit_fnorm(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:

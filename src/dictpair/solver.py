@@ -5,22 +5,38 @@ The model objective per class l (all norms over real matrices) is
     ||X_l' - X_l' P_l' D_l'||_21
       + alpha * (||P_l Xbar_l||_F^2 + ||P_l'||_21)
       + beta  * (||X_l - X_l W_l||_F^2 + ||P_l X_l - P_l X_l W_l||_F^2 + ||W_l||_F^2)
-      + lam   * (||P_l X_l - M_l||_F^2 - N_l ||P_l X_l - Mbar_l||_F^2)
+      + lam   * (||P_l X_l - m 1'||_F^2 - N_l ||P_l X_l - mbar 1'||_F^2)
 
 subject to columns of D_l summing to one and diag(W_l) = 0, where ||R||_21 sums
-the Euclidean norms of the rows of R (' denotes transpose). The relaxed
+the Euclidean norms of the rows of R (' denotes transpose), Xbar_l holds the
+N - N_l samples of the other classes, and the code means m and mbar are the
+mean columns of P_l X_l and P_l Xbar_l (mbar = 0 when c = 1). The relaxed
 objective splits the reconstruction through explicit nonnegative codes S_l:
 
     ||X_l' - S_l' D_l'||_21 + ||S_l' - X_l' P_l'||_21  (+ the same penalties)
 
+Gram form: the complement Xbar_l is never formed. It enters only through the
+Gram matrix G = X X' and the sample sum x = X 1 of the whole dataset, both
+computed once per dataset (``LabeledDataset.gram`` and ``.sample_sum``):
+
+    Xbar_l Xbar_l'      = G - X_l X_l'
+    mbar                = P_l (x - X_l 1) / (N - N_l)
+    ||P_l Xbar_l||_F^2  = sum((P_l G - (P_l X_l) X_l') * P_l)   (entrywise)
+
 Row-sum norms are handled by iterative reweighting: a row of norm r carries a
 weight 1/(2r + tau), which turns each ||.||_21 term into a weighted quadratic.
 One training iteration sweeps the classes in order and updates, per class:
-analysis block P_l (linear solve), mean matrices, codes S_l (multiplicative
-rule), synthesis block D_l (ridge solve + column-sum normalization), the three
-reweighting diagonals, and the reconstruction weights W_l (linear solve +
-diagonal zeroing). The loop stops when the model objective changes by less
-than tol between consecutive sweeps.
+analysis block P_l (n x n linear solve, see analysis_system), code means,
+codes S_l (multiplicative rule), synthesis block D_l (ridge solve + column-sum
+normalization), the three reweighting diagonals, and the reconstruction
+weights W_l (linear solve + diagonal zeroing). The loop stops when the model
+objective changes by less than tol between consecutive sweeps.
+
+Numerical guards: the analysis system A is checked by a Cholesky
+factorization A = L L', and tau*I is added to A only when the factorization
+fails or (min L_ii / max L_ii)^2 < 1/COND_GUARD; TrainHistory.tau_regularized
+counts those solves. A non-finite A, and a non-finite objective in train,
+raise NumericalError.
 """
 
 from dataclasses import dataclass, field
@@ -32,25 +48,30 @@ from .model import (
     CodingState,
     DictionaryPair,
     Hyperparams,
-    MeanMatrices,
     ReweightState,
     WeightState,
     init_state,
 )
 
-# condition estimate above which tau*I is added before the analysis solve
+# tau*I is added to the analysis system when (min L_ii / max L_ii)^2 of its
+# Cholesky factor falls below 1/COND_GUARD
 COND_GUARD = 1e12
 # |column sum| below which a synthesis atom falls back to the uniform column
 SUM_FLOOR = 1e-10
 
 
 class NumericalError(RuntimeError):
-    """A linear system remained unsolvable after tau-regularization."""
+    """A linear system remained unsolvable after tau-regularization, or the
+    maths produced a non-finite value."""
 
 
 @dataclass
 class TrainHistory:
-    """Per-iteration objective values, iterate deltas, and the stopping outcome."""
+    """Per-iteration objective values, iterate deltas, and the stopping outcome.
+
+    tau_regularized counts the analysis solves that had tau*I added to their
+    system (see analysis_system).
+    """
 
     objective_model: list[float] = field(default_factory=list)
     objective_relaxed: list[float] = field(default_factory=list)
@@ -60,6 +81,7 @@ class TrainHistory:
     delta_W: list[float] = field(default_factory=list)
     iterations_run: int = 0
     converged: bool = False
+    tau_regularized: int = 0
 
 
 def smoothed_row_norms(R: np.ndarray, tau: float) -> np.ndarray:
@@ -74,20 +96,22 @@ def row_norm_sum(R: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.sum(R * R, axis=1))))
 
 
-def compute_means(P_l: np.ndarray, X_l: np.ndarray, Xbar_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of P_l X_l and P_l Xbar_l, each replicated to k_l x N_l.
+def compute_means(
+    P_l: np.ndarray, X_l: np.ndarray, x: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Code means m = mean column of P_l X_l and mbar = mean column of
+    P_l Xbar_l, each a length-k_l vector.
 
-    With a single class the complement is empty and the second matrix is zero.
+    x is the sum of all N dataset columns (class l included), so the
+    complement sum is x - X_l 1. With a single class (N = N_l) the complement
+    is empty and mbar is zero.
     """
     N_l = X_l.shape[1]
-    m = (P_l @ X_l).mean(axis=1)
-    M_l = np.tile(m[:, None], (1, N_l))
-    if Xbar_l.shape[1] == 0:
-        Mbar_l = np.zeros_like(M_l)
-    else:
-        mbar = (P_l @ Xbar_l).mean(axis=1)
-        Mbar_l = np.tile(mbar[:, None], (1, N_l))
-    return M_l, Mbar_l
+    class_sum = X_l.sum(axis=1)
+    m = P_l @ class_sum / N_l
+    if N == N_l:
+        return m, np.zeros_like(m)
+    return m, P_l @ (x - class_sum) / (N - N_l)
 
 
 def update_reweights(
@@ -113,70 +137,87 @@ def _solve_right(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _needs_tau(A: np.ndarray) -> bool:
+    """True when A has no Cholesky factor L or (min L_ii / max L_ii)^2 is
+    below 1/COND_GUARD.
+
+    The diagonal of the triangular L holds its eigenvalues, so
+    (max L_ii / min L_ii)^2 is a lower bound on cond(A) = cond(L)^2: the test
+    fires only on systems whose 2-norm condition number exceeds COND_GUARD,
+    and costs one factorization instead of a full SVD."""
+    try:
+        d = np.diag(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
+        return True
+    return bool((d.min() / d.max()) ** 2 < 1.0 / COND_GUARD)
+
+
 def analysis_system(
     X_l: np.ndarray,
-    Xbar_l: np.ndarray,
+    G: np.ndarray,
     S_l: np.ndarray,
     W_l: np.ndarray,
     u: np.ndarray,
     h: np.ndarray,
-    M_l: np.ndarray,
-    Mbar_l: np.ndarray,
+    m: np.ndarray,
+    mbar: np.ndarray,
     hp: Hyperparams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side and system matrix of the analysis update P_l A = B.
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """System matrix, right-hand side and guard flag of the analysis update P_l A = B.
 
-    B = 4 S_l U X_l' + 2 lam M_l X_l' - 2 lam N_l Mbar_l X_l'
-    A = Lambda + Upsilon with
-    Lambda  = 4 X_l U X_l' + 2 alpha Xbar_l Xbar_l' + 4 alpha diag(h)
-    Upsilon = beta X_l Q X_l' + beta X_l Q' X_l' + 2 lam (N_l - 1) X_l X_l'
-    Q       = (I - W_l)(I - W_l)'
+    In Gram form, with G = X X' over the whole dataset and Q = (I - W_l)(I - W_l)':
 
-    tau*I is added only when the condition estimate of A exceeds 1e12.
+    A = 2 alpha G + X_l C X_l' + 4 alpha diag(h)
+    C = 4 diag(u) + beta (Q + Q') + (2 lam (N_l - 1) - 2 alpha) I
+    B = 4 (S_l U) X_l' + 2 lam (m - N_l mbar)(X_l 1)'
+
+    This is the explicit-complement system A = 4 X_l U X_l' + 2 alpha Xbar_l Xbar_l'
+    + 4 alpha diag(h) + beta X_l (Q + Q') X_l' + 2 lam (N_l - 1) X_l X_l',
+    B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with the replicated means
+    M_l = m 1', Mbar_l = mbar 1', rewritten through Xbar_l Xbar_l' = G - X_l X_l'.
+
+    Guard: A is factorized by Cholesky; tau*I is added only when that fails or
+    (min L_ii / max L_ii)^2 < 1/COND_GUARD, and the returned flag says whether
+    it was. A non-finite A raises NumericalError.
     """
     n, N_l = X_l.shape
-    I_N = np.eye(N_l)
-    Q = (I_N - W_l) @ (I_N - W_l).T
-    B = (
-        4.0 * (S_l * u) @ X_l.T
-        + 2.0 * hp.lam * (M_l @ X_l.T)
-        - 2.0 * hp.lam * N_l * (Mbar_l @ X_l.T)
-    )
-    A = 4.0 * (X_l * u) @ X_l.T + 2.0 * hp.alpha * (Xbar_l @ Xbar_l.T)
+    E = np.eye(N_l) - W_l
+    Q = E @ E.T
+    C = hp.beta * (Q + Q.T)
+    C[np.diag_indices(N_l)] += 4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * hp.alpha)
+    A = 2.0 * hp.alpha * G + (X_l @ C) @ X_l.T
     A[np.diag_indices(n)] += 4.0 * hp.alpha * h
-    A = (
-        A
-        + hp.beta * (X_l @ Q @ X_l.T)
-        + hp.beta * (X_l @ Q.T @ X_l.T)
-        + 2.0 * hp.lam * (N_l - 1) * (X_l @ X_l.T)
-    )
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_GUARD:
-        A = A + hp.tau * np.eye(n)
-    return A, B
+    B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("analysis system has non-finite entries")
+    regularized = _needs_tau(A)
+    if regularized:
+        A[np.diag_indices(n)] += hp.tau
+    return A, B, regularized
 
 
 def update_P(
     X_l: np.ndarray,
-    Xbar_l: np.ndarray,
+    G: np.ndarray,
     S_l: np.ndarray,
     W_l: np.ndarray,
     u: np.ndarray,
     h: np.ndarray,
-    M_l: np.ndarray,
-    Mbar_l: np.ndarray,
+    m: np.ndarray,
+    mbar: np.ndarray,
     hp: Hyperparams,
-) -> np.ndarray:
+) -> tuple[np.ndarray, bool]:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system.
 
-    The mean matrices are held constant here and refreshed right after.
+    Returns P_l and whether tau*I was added to A. The code means are held
+    constant here and refreshed right after.
     """
-    A, B = analysis_system(X_l, Xbar_l, S_l, W_l, u, h, M_l, Mbar_l, hp)
+    A, B, regularized = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
     try:
-        return _solve_right(A, B)
+        return _solve_right(A, B), regularized
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"analysis system singular after tau-regularization (cond {np.linalg.cond(A):.3e})"
+            f"analysis system singular (tau-regularized: {'yes' if regularized else 'no'})"
         ) from exc
 
 
@@ -234,16 +275,15 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     return W_l
 
 
-def _class_views(ds: LabeledDataset) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    Xs = [ds.class_matrix(l) for l in range(1, ds.n_classes + 1)]
-    Xbars = [ds.complement_matrix(l) for l in range(1, ds.n_classes + 1)]
-    return Xs, Xbars
+def _class_blocks(ds: LabeledDataset) -> list[np.ndarray]:
+    return [ds.class_matrix(l) for l in range(1, ds.n_classes + 1)]
 
 
-def _quadratic_penalties(X_l, Xbar_l, P_l, W_l, hp: Hyperparams) -> float:
-    """The beta (locality) and lam (code-discrimination) penalty terms."""
-    total = 0.0
+def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
+    """The terms every objective shares: alpha * ||P_l Xbar_l||_F^2 (in Gram
+    form) and the beta (locality) and lam (code-discrimination) penalties."""
     PX = P_l @ X_l
+    total = hp.alpha * float(np.sum((P_l @ ds.gram - PX @ X_l.T) * P_l))
     if hp.beta:
         total += hp.beta * (
             np.linalg.norm(X_l - X_l @ W_l) ** 2
@@ -252,9 +292,9 @@ def _quadratic_penalties(X_l, Xbar_l, P_l, W_l, hp: Hyperparams) -> float:
         )
     if hp.lam:
         N_l = X_l.shape[1]
-        M_l, Mbar_l = compute_means(P_l, X_l, Xbar_l)
+        m, mbar = compute_means(P_l, X_l, ds.sample_sum, ds.n_samples)
         total += hp.lam * (
-            np.linalg.norm(PX - M_l) ** 2 - N_l * np.linalg.norm(PX - Mbar_l) ** 2
+            np.linalg.norm(PX - m[:, None]) ** 2 - N_l * np.linalg.norm(PX - mbar[:, None]) ** 2
         )
     return total
 
@@ -267,13 +307,12 @@ def objective_relaxed(
     hp: Hyperparams,
 ) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
-    Xs, Xbars = _class_views(ds)
     total = 0.0
-    for X_l, Xbar_l, D_l, P_l, S_l, W_l in zip(Xs, Xbars, pair.D, pair.P, codes.S, weights.W):
+    for X_l, D_l, P_l, S_l, W_l in zip(_class_blocks(ds), pair.D, pair.P, codes.S, weights.W):
         total += row_norm_sum(X_l.T - S_l.T @ D_l.T)
         total += row_norm_sum(S_l.T - X_l.T @ P_l.T)
-        total += hp.alpha * (np.linalg.norm(P_l @ Xbar_l) ** 2 + row_norm_sum(P_l.T))
-        total += _quadratic_penalties(X_l, Xbar_l, P_l, W_l, hp)
+        total += hp.alpha * row_norm_sum(P_l.T)
+        total += _penalties(ds, X_l, P_l, W_l, hp)
     return total
 
 
@@ -281,12 +320,11 @@ def objective_model(
     ds: LabeledDataset, pair: DictionaryPair, weights: WeightState, hp: Hyperparams
 ) -> float:
     """Model objective with codes eliminated (reconstruction through P then D)."""
-    Xs, Xbars = _class_views(ds)
     total = 0.0
-    for X_l, Xbar_l, D_l, P_l, W_l in zip(Xs, Xbars, pair.D, pair.P, weights.W):
+    for X_l, D_l, P_l, W_l in zip(_class_blocks(ds), pair.D, pair.P, weights.W):
         total += row_norm_sum(X_l.T - X_l.T @ P_l.T @ D_l.T)
-        total += hp.alpha * (np.linalg.norm(P_l @ Xbar_l) ** 2 + row_norm_sum(P_l.T))
-        total += _quadratic_penalties(X_l, Xbar_l, P_l, W_l, hp)
+        total += hp.alpha * row_norm_sum(P_l.T)
+        total += _penalties(ds, X_l, P_l, W_l, hp)
     return total
 
 
@@ -301,19 +339,16 @@ def surrogate_relaxed(
     """Relaxed objective with every row-sum norm replaced by its weighted
     quadratic (trace) form under the given diagonals; a sweep run with frozen
     diagonals is expected not to increase this quantity."""
-    Xs, Xbars = _class_views(ds)
     total = 0.0
-    for X_l, Xbar_l, D_l, P_l, S_l, W_l, h, u, v in zip(
-        Xs, Xbars, pair.D, pair.P, codes.S, weights.W, rw.h, rw.u, rw.v
+    for X_l, D_l, P_l, S_l, W_l, h, u, v in zip(
+        _class_blocks(ds), pair.D, pair.P, codes.S, weights.W, rw.h, rw.u, rw.v
     ):
         R1 = X_l - D_l @ S_l
         R2 = S_l - P_l @ X_l
         total += 2.0 * float(np.sum((R1 * R1) * v))
         total += 2.0 * float(np.sum((R2 * R2) * u))
-        total += hp.alpha * (
-            np.linalg.norm(P_l @ Xbar_l) ** 2 + 2.0 * float(np.sum((P_l * P_l) * h))
-        )
-        total += _quadratic_penalties(X_l, Xbar_l, P_l, W_l, hp)
+        total += hp.alpha * 2.0 * float(np.sum((P_l * P_l) * h))
+        total += _penalties(ds, X_l, P_l, W_l, hp)
     return total
 
 
@@ -337,6 +372,12 @@ def _assembled_delta(old: list[np.ndarray], new: list[np.ndarray]) -> float:
     return float(np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(old, new))))
 
 
+def _finite(value: float, what: str) -> float:
+    if not np.isfinite(value):
+        raise NumericalError(f"{what} is not finite ({value})")
+    return value
+
+
 def _check_solve_residual(Y, A, B, what: str) -> None:
     res = np.linalg.norm(Y @ A - B)
     if res > 1e-8 * max(np.linalg.norm(B), np.finfo(float).tiny):
@@ -356,7 +397,8 @@ def train(
     mode with the synthesis-fit reweighting v held at identity, turning the
     robust reconstruction term into a plain least-squares fit. With self_check
     on, the linear-solve residuals of the P and D updates are verified at
-    1e-8 relative every iteration.
+    1e-8 relative every iteration. Raises NumericalError as soon as the model
+    or relaxed objective is not finite.
     """
     if mode not in ("full", "reduced", "frobenius"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -364,35 +406,32 @@ def train(
         raise ValueError(f"mode {mode!r} requires beta = 0 and lam = 0")
 
     pair, codes, weights, rw = init_state(ds, hp)
-    Xs, Xbars = _class_views(ds)
-    means = MeanMatrices(M=[], Mbar=[])
-    for l in range(ds.n_classes):
-        M_l, Mbar_l = compute_means(pair.P[l], Xs[l], Xbars[l])
-        means.M.append(M_l)
-        means.Mbar.append(Mbar_l)
+    Xs = _class_blocks(ds)
+    G, x, N = ds.gram, ds.sample_sum, ds.n_samples
+    means = [compute_means(P_l, X_l, x, N) for P_l, X_l in zip(pair.P, Xs)]
 
     history = TrainHistory()
-    prev_obj = objective_model(ds, pair, weights, hp)
-    for _ in range(hp.max_iter):
+    prev_obj = _finite(objective_model(ds, pair, weights, hp), "initial model objective")
+    for it in range(1, hp.max_iter + 1):
         P_old = [P_l.copy() for P_l in pair.P]
         S_old = [S_l.copy() for S_l in codes.S]
         D_old = [D_l.copy() for D_l in pair.D]
         W_old = [W_l.copy() for W_l in weights.W]
         for l in range(ds.n_classes):
-            X_l, Xbar_l = Xs[l], Xbars[l]
+            X_l = Xs[l]
+            m, mbar = means[l]
             if self_check:
-                A, B = analysis_system(
-                    X_l, Xbar_l, codes.S[l], weights.W[l], rw.u[l], rw.h[l],
-                    means.M[l], means.Mbar[l], hp,
+                A, B, regularized = analysis_system(
+                    X_l, G, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp
                 )
                 pair.P[l] = _solve_right(A, B)
                 _check_solve_residual(pair.P[l], A, B, "analysis")
             else:
-                pair.P[l] = update_P(
-                    X_l, Xbar_l, codes.S[l], weights.W[l], rw.u[l], rw.h[l],
-                    means.M[l], means.Mbar[l], hp,
+                pair.P[l], regularized = update_P(
+                    X_l, G, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp
                 )
-            means.M[l], means.Mbar[l] = compute_means(pair.P[l], X_l, Xbar_l)
+            history.tau_regularized += regularized
+            means[l] = compute_means(pair.P[l], X_l, x, N)
             v_eff = np.ones_like(rw.v[l]) if mode == "frobenius" else rw.v[l]
             codes.S[l] = update_S(X_l, pair.D[l], pair.P[l], codes.S[l], rw.u[l], v_eff, hp.tau)
             D_pre = solve_synthesis(X_l, codes.S[l], v_eff, hp.tau)
@@ -404,9 +443,10 @@ def train(
             rw.h[l], rw.u[l], rw.v[l] = update_reweights(X_l, pair.D[l], pair.P[l], codes.S[l], hp.tau)
             if mode == "full":
                 weights.W[l] = update_W(X_l, pair.P[l])
-        obj = objective_model(ds, pair, weights, hp)
+        obj = _finite(objective_model(ds, pair, weights, hp), f"model objective at iteration {it}")
+        relaxed = objective_relaxed(ds, pair, codes, weights, hp)
         history.objective_model.append(obj)
-        history.objective_relaxed.append(objective_relaxed(ds, pair, codes, weights, hp))
+        history.objective_relaxed.append(_finite(relaxed, f"relaxed objective at iteration {it}"))
         history.delta_P.append(_assembled_delta(P_old, pair.P))
         history.delta_S.append(_assembled_delta(S_old, codes.S))
         history.delta_D.append(_assembled_delta(D_old, pair.D))

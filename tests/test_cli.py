@@ -118,6 +118,17 @@ def test_train_missing_data_file(workdir, capsys):
     assert rc == 2
 
 
+def test_train_rejects_nan_data_file(workdir, capsys):
+    run(capsys, *synth_args(workdir / "d"))
+    lines = (workdir / "d.mat").read_text().splitlines()
+    lines[2] = "nan " + lines[2].split(" ", 1)[1]
+    (workdir / "d.mat").write_text("\n".join(lines) + "\n")
+    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 2
+    assert "d.mat" in err and "non-finite value 'nan'" in err and "Traceback" not in err
+    assert not (workdir / "m.model").exists()
+
+
 def test_train_numerical_failure_exit_code(workdir, capsys, monkeypatch):
     from dictpair import solver as solver_mod
 

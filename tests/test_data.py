@@ -41,6 +41,14 @@ def test_load_non_numeric(tmp_path):
         data.load_matrix(p)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_load_non_finite(tmp_path, token):
+    p = tmp_path / "m.txt"
+    p.write_text(f"2 2\n1 2\n3 {token}\n")
+    with pytest.raises(ValueError, match=rf"m\.txt: non-finite value '{token}' at row 1, column 1"):
+        data.load_matrix(p)
+
+
 def test_load_bad_header(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("2\n1 2\n")
@@ -165,6 +173,14 @@ def test_partition_cover_oracle(rng):
 def test_partition_empty_class():
     with pytest.raises(ValueError, match="class 2 is empty"):
         data.partition_by_class(np.ones((2, 2)), np.array([1, 3]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_partition_non_finite_column(value):
+    X = np.ones((2, 3))
+    X[1, 2] = value
+    with pytest.raises(ValueError, match="column 2 contains a non-finite value"):
+        data.partition_by_class(X, np.array([1, 2, 1]))
 
 
 def test_partition_out_of_range_label():

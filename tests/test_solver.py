@@ -5,6 +5,7 @@ import pytest
 
 from dictpair import (
     Hyperparams,
+    LabeledDataset,
     evaluate,
     make_synthetic,
     objective_model,
@@ -77,37 +78,42 @@ def test_reweights_oracle(rng):
         assert abs(v[i] - 1.0 / (2.0 * np.linalg.norm(R_v[i]) + tau)) < 1e-14
 
 
-# --- mean matrices -----------------------------------------------------------
+# --- code means --------------------------------------------------------------
 
 def test_means_single_sample():
     P = np.array([[1.0, 0.0], [0.0, 2.0]])
     X = np.array([[3.0], [4.0]])
-    M, _ = solver.compute_means(P, X, np.zeros((2, 0)))
-    assert np.array_equal(M, P @ X)
+    m, _ = solver.compute_means(P, X, X.sum(axis=1), 1)
+    assert np.array_equal(m, (P @ X)[:, 0])
 
 
 def test_means_hand_case():
-    # code columns (1,3) and (3,1): every mean column is (2,2)
+    # code columns (1,3) and (3,1): the mean code is (2,2); one class, so mbar = 0
     P = np.eye(2)
     X = np.array([[1.0, 3.0], [3.0, 1.0]])
-    M, Mbar = solver.compute_means(P, X, np.zeros((2, 0)))
-    assert np.array_equal(M, np.full((2, 2), 2.0))
-    assert np.array_equal(Mbar, np.zeros((2, 2)))
+    m, mbar = solver.compute_means(P, X, X.sum(axis=1), 2)
+    assert np.array_equal(m, np.full(2, 2.0))
+    assert np.array_equal(mbar, np.zeros(2))
 
 
 def test_means_oracle(rng):
     P = rng.standard_normal((3, 5))
     X = rng.standard_normal((5, 4))
     Xbar = rng.standard_normal((5, 6))
-    M, Mbar = solver.compute_means(P, X, Xbar)
+    m, mbar = solver.compute_means(P, X, X.sum(axis=1) + Xbar.sum(axis=1), 10)
     PX, PXbar = P @ X, P @ Xbar
     for r in range(3):
         m_r = sum(PX[r, j] for j in range(4)) / 4.0
         mb_r = sum(PXbar[r, j] for j in range(6)) / 6.0
-        assert np.allclose(M[r], m_r) and np.allclose(Mbar[r], mb_r)
+        assert np.allclose(m[r], m_r) and np.allclose(mbar[r], mb_r)
 
 
 # --- analysis update ---------------------------------------------------------
+
+def two_class_gram(X, Xbar):
+    """Gram matrix X X' of the dataset made of class X and complement Xbar."""
+    return partition_by_class(np.hstack([X, Xbar]), np.repeat([1, 2], [X.shape[1], Xbar.shape[1]])).gram
+
 
 def test_update_P_identity_case(rng):
     # X = I, U = I, alpha = beta = lam = 0: system is 4I, numerator 4S, so P = S
@@ -116,9 +122,10 @@ def test_update_P_identity_case(rng):
     S = np.abs(rng.standard_normal((2, n)))
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=2)
     W = np.zeros((n, n))
-    M, Mbar = solver.compute_means(np.zeros((2, n)), X, np.zeros((n, 0)))
-    P = solver.update_P(X, np.zeros((n, 0)), S, W, np.ones(n), np.ones(n), M, Mbar, hp)
+    m, mbar = solver.compute_means(np.zeros((2, n)), X, X.sum(axis=1), n)
+    P, regularized = solver.update_P(X, X @ X.T, S, W, np.ones(n), np.ones(n), m, mbar, hp)
     np.testing.assert_allclose(P, S, rtol=0, atol=1e-12)
+    assert not regularized
 
 
 def test_update_P_solve_residual(rng):
@@ -131,9 +138,10 @@ def test_update_P_solve_residual(rng):
         np.fill_diagonal(W, 0.0)
         u = rng.uniform(0.5, 2.0, 8)
         h = rng.uniform(0.5, 2.0, 5)
-        M, Mbar = solver.compute_means(rng.standard_normal((3, 5)), X, Xbar)
-        A, B = solver.analysis_system(X, Xbar, S, W, u, h, M, Mbar, hp)
-        P = solver.update_P(X, Xbar, S, W, u, h, M, Mbar, hp)
+        m, mbar = solver.compute_means(rng.standard_normal((3, 5)), X, X.sum(axis=1) + Xbar.sum(axis=1), 14)
+        G = two_class_gram(X, Xbar)
+        A, B, _ = solver.analysis_system(X, G, S, W, u, h, m, mbar, hp)
+        P, _ = solver.update_P(X, G, S, W, u, h, m, mbar, hp)
         assert np.linalg.norm(P @ A - B) < 1e-8 * np.linalg.norm(B)
 
 
@@ -146,11 +154,83 @@ def test_update_P_mean_independence_when_lam_zero(rng):
     np.fill_diagonal(W, 0.0)
     u = rng.uniform(0.5, 2.0, 5)
     h = rng.uniform(0.5, 2.0, 4)
-    M1 = rng.standard_normal((2, 5))
-    M2 = rng.standard_normal((2, 5))
-    P1 = solver.update_P(X, Xbar, S, W, u, h, M1, 2 * M1, hp)
-    P2 = solver.update_P(X, Xbar, S, W, u, h, M2, -M2, hp)
+    m1 = rng.standard_normal(2)
+    m2 = rng.standard_normal(2)
+    G = two_class_gram(X, Xbar)
+    P1, _ = solver.update_P(X, G, S, W, u, h, m1, 2 * m1, hp)
+    P2, _ = solver.update_P(X, G, S, W, u, h, m2, -m2, hp)
     assert np.array_equal(P1, P2)
+
+
+def explicit_complement_system(X, Xbar, S, W, u, h, P_means, hp):
+    """The analysis system written with the complement matrix and replicated
+    mean tiles, term by term as in the paper's update."""
+    n, N = X.shape
+    I_N = np.eye(N)
+    Q = (I_N - W) @ (I_N - W).T
+    PX = P_means @ X
+    M = np.tile(PX.mean(axis=1)[:, None], (1, N))
+    Mbar = np.tile((P_means @ Xbar).mean(axis=1)[:, None], (1, N)) if Xbar.shape[1] else np.zeros_like(M)
+    B = 4.0 * (S * u) @ X.T + 2.0 * hp.lam * (M @ X.T) - 2.0 * hp.lam * N * (Mbar @ X.T)
+    A = (
+        4.0 * (X * u) @ X.T
+        + 2.0 * hp.alpha * (Xbar @ Xbar.T)
+        + 4.0 * hp.alpha * np.diag(h)
+        + hp.beta * (X @ Q @ X.T)
+        + hp.beta * (X @ Q.T @ X.T)
+        + 2.0 * hp.lam * (N - 1) * (X @ X.T)
+    )
+    return A, B
+
+
+def random_dataset(rng, sizes, n=6):
+    X = rng.uniform(0.5, 1.5, (n, sum(sizes)))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return partition_by_class(X, rng.permutation(labels))
+
+
+@pytest.mark.parametrize("sizes", [(4, 5, 3), (6, 2), (7,)])
+def test_gram_form_matches_explicit_complement(rng, sizes):
+    # the shipped analysis system and objectives against the explicit-complement
+    # formulas; (7,) is the single-class case with an empty complement
+    hp = Hyperparams(alpha=0.3, beta=0.2, lam=0.05, atoms_per_class=3)
+    ds = random_dataset(rng, sizes)
+    n, k = ds.n_features, 3
+    pair = DictionaryPair(D=[], P=[])
+    codes, weights = CodingState(S=[]), WeightState(W=[])
+    for l in range(1, ds.n_classes + 1):
+        X, Xbar = ds.class_matrix(l), ds.complement_matrix(l)
+        N = X.shape[1]
+        S = np.abs(rng.standard_normal((k, N)))
+        W = rng.standard_normal((N, N))
+        np.fill_diagonal(W, 0.0)
+        u = rng.uniform(0.5, 2.0, N)
+        h = rng.uniform(0.5, 2.0, n)
+        P = rng.standard_normal((k, n))
+        m, mbar = solver.compute_means(P, X, ds.sample_sum, ds.n_samples)
+        A, B, regularized = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        A_ref, B_ref = explicit_complement_system(X, Xbar, S, W, u, h, P, hp)
+        assert not regularized
+        assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
+        assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
+        pair.D.append(rng.standard_normal((n, k)))
+        pair.P.append(P)
+        codes.S.append(S)
+        weights.W.append(W)
+    for got, want in [
+        (objective_model(ds, pair, weights, hp), reference_objective(ds, pair, codes, weights, hp, relaxed=False)),
+        (objective_relaxed(ds, pair, codes, weights, hp), reference_objective(ds, pair, codes, weights, hp, relaxed=True)),
+    ]:
+        assert abs(got - want) < 1e-10 * abs(want)
+
+
+def test_analysis_system_rejects_nonfinite(rng):
+    hp = Hyperparams(alpha=0.1, beta=0.1, lam=1e-3, atoms_per_class=2)
+    X = rng.uniform(1.0, 2.0, (4, 5))
+    X[0, 0] = np.nan
+    with pytest.raises(solver.NumericalError, match="non-finite"):
+        solver.analysis_system(X, X @ X.T, np.ones((2, 5)), np.zeros((5, 5)), np.ones(5), np.ones(4),
+                               np.zeros(2), np.zeros(2), hp)
 
 
 # --- code update -------------------------------------------------------------
@@ -452,10 +532,37 @@ def test_train_structure_invariants(trained_standard):
 def test_train_self_check_mode(standard_split, standard_hp):
     # raises on any solve residual above 1e-8 relative, every iteration
     train_ds, _ = standard_split
-    train(train_ds, standard_hp, self_check=True)
+    history = train(train_ds, standard_hp, self_check=True)[3]
+    assert history.tau_regularized == 0
     # also through the singular-guard path (alpha = 0 leaves the system rank-deficient)
     hp = dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)
-    train(train_ds, hp, self_check=True)
+    history = train(train_ds, hp, self_check=True)[3]
+    assert history.tau_regularized == train_ds.n_classes * history.iterations_run
+
+
+def test_train_counts_no_guard_on_standard_config(trained_standard):
+    assert trained_standard[3].tau_regularized == 0
+
+
+def test_train_nonfinite_data_raises_numerical_error(standard_split, standard_hp):
+    # built directly, past partition_by_class, which rejects non-finite columns
+    train_ds, _ = standard_split
+    X = train_ds.X.copy()
+    X[3, 7] = np.nan
+    ds = LabeledDataset(X=X, labels=train_ds.labels)
+    with pytest.raises(solver.NumericalError, match="not finite"):
+        train(ds, standard_hp)
+
+
+def test_train_and_objectives_never_build_complements(standard_split, standard_hp, monkeypatch):
+    def refuse(self, label):
+        raise AssertionError("complement_matrix called")
+
+    train_ds, _ = standard_split
+    monkeypatch.setattr(LabeledDataset, "complement_matrix", refuse)
+    pair, codes, weights, _ = train(train_ds, dataclasses.replace(standard_hp, max_iter=3))
+    assert np.isfinite(objective_model(train_ds, pair, weights, standard_hp))
+    assert np.isfinite(objective_relaxed(train_ds, pair, codes, weights, standard_hp))
 
 
 def test_train_iterate_deltas_shrink(trained_standard):
