@@ -1,25 +1,9 @@
-"""Reference models: the reduced-mode dictionary pair (locality and
-code-discrimination terms switched off) and two sanity classifiers that serve
-as accuracy floors."""
+"""Reference classifiers: two sanity baselines that serve as accuracy floors.
+The reduced dictionary pair is train(..., mode="reduced" or "frobenius")."""
 
 import numpy as np
 
 from .data import LabeledDataset
-from .model import DictionaryPair, Hyperparams
-from .solver import TrainHistory, train
-
-
-def train_reduced(
-    ds: LabeledDataset, hp: Hyperparams, frobenius: bool = False
-) -> tuple[DictionaryPair, TrainHistory]:
-    """Train with beta = lam = 0; the reconstruction-weight updates are skipped
-    since W no longer enters the objective. With frobenius=True the robust
-    per-sample reweighting of the synthesis fit is replaced by identity,
-    reducing that term to a plain least-squares fit."""
-    if hp.beta != 0.0 or hp.lam != 0.0:
-        raise ValueError("reduced mode requires beta = 0 and lam = 0")
-    pair, _, _, history = train(ds, hp, mode="frobenius" if frobenius else "reduced")
-    return pair, history
 
 
 class NearestClassMean:

@@ -356,7 +356,8 @@ def cmd_gradcheck(args) -> int:
     for inst in range(5):
         ds, pair, codes, weights, rw, hp_s = _sweep_instance(SWEEP_SEED_BASE + inst)
         s0 = solver.surrogate_relaxed(ds, pair, codes, weights, rw, hp_s)
-        _frozen_sweep(ds, pair, codes, weights, rw, hp_s)
+        for l in range(ds.n_classes):
+            solver.sweep_class(ds, l, pair, codes, weights, rw, hp_s)
         s1 = solver.surrogate_relaxed(ds, pair, codes, weights, rw, hp_s)
         worst = max(worst, (s1 - s0) / max(abs(s0), 1e-30))
     record("sweep-surrogate-monotone", worst <= 1e-8, f"worst relative increase {worst:.3e}")
@@ -376,19 +377,6 @@ def _sweep_instance(seed: int):
         D_l = np.abs(rng.standard_normal((n, k)))
         pair.D[l] = D_l / np.linalg.norm(D_l)
     return ds, pair, codes, weights, rw, hp
-
-
-def _frozen_sweep(ds, pair, codes, weights, rw, hp) -> None:
-    """One full sweep of P, S, D, W updates with the diagonals held fixed."""
-    for l in range(ds.n_classes):
-        X_l = ds.class_matrix(l + 1)
-        m, mbar = solver.compute_means(pair.P[l], X_l, ds.sample_sum, ds.n_samples)
-        pair.P[l], _ = solver.update_P(
-            X_l, ds.gram, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp
-        )
-        codes.S[l] = solver.update_S(X_l, pair.D[l], pair.P[l], codes.S[l], rw.u[l], rw.v[l], hp.tau)
-        pair.D[l] = solver.update_D(X_l, codes.S[l], rw.v[l], hp.tau)
-        weights.W[l] = solver.update_W(X_l, pair.P[l])
 
 
 def build_parser() -> argparse.ArgumentParser:

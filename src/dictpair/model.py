@@ -16,6 +16,7 @@ Model file format (text, round-trip exact):
     D_1, P_1, ..., D_c, P_c   (each in the dense-matrix format of data.py)
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "lam", "tau", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.lam < 0:
             raise ValueError("alpha, beta, lam must be >= 0")
         if self.tau <= 0:
@@ -176,7 +180,8 @@ def _read_block(fh, path) -> np.ndarray:
 
 
 def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
-    """Load a model file written by save_model."""
+    """Load a model file written by save_model; a non-finite hyperparameter or
+    D/P entry is a ValueError."""
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().strip()
         if magic != MODEL_MAGIC:
@@ -207,6 +212,9 @@ def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
             P_l = _read_block(fh, path)
             if D_l.shape != (n, ks[l]) or P_l.shape != (ks[l], n):
                 raise ValueError(f"{path}: class {l + 1} block shapes {D_l.shape}, {P_l.shape} mismatch header")
+            for name, block in (("D", D_l), ("P", P_l)):
+                if not np.isfinite(block).all():
+                    raise ValueError(f"{path}: class {l + 1} block {name}_{l + 1} has a non-finite entry")
             D.append(D_l)
             P.append(P_l)
     return DictionaryPair(D=D, P=P), hp

@@ -25,12 +25,13 @@ computed once per dataset (``LabeledDataset.gram`` and ``.sample_sum``):
 
 Row-sum norms are handled by iterative reweighting: a row of norm r carries a
 weight 1/(2r + tau), which turns each ||.||_21 term into a weighted quadratic.
-One training iteration sweeps the classes in order and updates, per class:
-analysis block P_l (n x n linear solve, see analysis_system), code means,
-codes S_l (multiplicative rule), synthesis block D_l (ridge solve + column-sum
-normalization), the three reweighting diagonals, and the reconstruction
-weights W_l (linear solve + diagonal zeroing). The loop stops when the model
-objective changes by less than tol between consecutive sweeps.
+One training iteration runs, for each class in order, sweep_class under the
+current diagonals: code means from the current P_l, analysis block P_l (n x n
+linear solve, see analysis_system), codes S_l (multiplicative rule),
+synthesis block D_l (ridge solve + column-sum normalization) and the
+reconstruction weights W_l (linear solve + diagonal zeroing); then it
+refreshes that class's three reweighting diagonals. The loop stops when the
+model objective changes by less than tol between consecutive sweeps.
 
 Numerical guards: the analysis system A is checked by a Cholesky
 factorization A = L L', and tau*I is added to A only when the factorization
@@ -129,12 +130,21 @@ def update_reweights(
     return h, u, v
 
 
-def _solve_right(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve Y A = B with one step of iterative refinement."""
+def _solve_right(A: np.ndarray, B: np.ndarray, check: str | None = None) -> np.ndarray:
+    """Solve Y A = B with one step of iterative refinement. With check set, the
+    residual is verified at 1e-8 relative; a NumericalError names the check."""
     Y = np.linalg.solve(A.T, B.T).T
     R = B - Y @ A
     Y += np.linalg.solve(A.T, R.T).T
+    if check is not None:
+        _check_solve_residual(Y, A, B, check)
     return Y
+
+
+def _check_solve_residual(Y, A, B, what: str) -> None:
+    res = np.linalg.norm(Y @ A - B)
+    if res > 1e-8 * max(np.linalg.norm(B), np.finfo(float).tiny):
+        raise NumericalError(f"{what} solve residual {res:.3e} exceeds 1e-8 relative")
 
 
 def _needs_tau(A: np.ndarray) -> bool:
@@ -206,15 +216,16 @@ def update_P(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
+    self_check: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system.
 
-    Returns P_l and whether tau*I was added to A. The code means are held
-    constant here and refreshed right after.
+    Returns P_l and whether tau*I was added to A; m, mbar are the code means
+    of the P_l being replaced. self_check verifies the solve residual.
     """
     A, B, regularized = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
     try:
-        return _solve_right(A, B), regularized
+        return _solve_right(A, B, "analysis" if self_check else None), regularized
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"analysis system singular (tau-regularized: {'yes' if regularized else 'no'})"
@@ -242,13 +253,15 @@ def update_S(
     return S_l * num / den
 
 
-def solve_synthesis(X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
+def solve_synthesis(
+    X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float, self_check: bool = False
+) -> np.ndarray:
     """Ridge solve for the synthesis block, before column normalization:
-    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1."""
+    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1; self_check verifies the residual."""
     k = S_l.shape[0]
     B = (X_l * v) @ S_l.T
     A = (S_l * v) @ S_l.T + tau * np.eye(k)
-    return _solve_right(A, B)
+    return _solve_right(A, B, "synthesis" if self_check else None)
 
 
 def _normalize_columns(D_l: np.ndarray, n: int) -> np.ndarray:
@@ -260,9 +273,11 @@ def _normalize_columns(D_l: np.ndarray, n: int) -> np.ndarray:
     return np.where(degenerate[None, :], 1.0 / n, D_l / np.where(degenerate, 1.0, sums)[None, :])
 
 
-def update_D(X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
+def update_D(
+    X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float, self_check: bool = False
+) -> np.ndarray:
     """Synthesis update: ridge solve, then column-sum normalization."""
-    return _normalize_columns(solve_synthesis(X_l, S_l, v, tau), X_l.shape[0])
+    return _normalize_columns(solve_synthesis(X_l, S_l, v, tau, self_check), X_l.shape[0])
 
 
 def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
@@ -273,6 +288,34 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     W_l = np.linalg.solve(G + np.eye(G.shape[0]), G)
     np.fill_diagonal(W_l, 0.0)
     return W_l
+
+
+def sweep_class(
+    ds: LabeledDataset,
+    l: int,
+    pair: DictionaryPair,
+    codes: CodingState,
+    weights: WeightState,
+    rw: ReweightState,
+    hp: Hyperparams,
+    mode: str = "full",
+    self_check: bool = False,
+) -> bool:
+    """Update P_l (from the code means of the current P_l), S_l, D_l and, in
+    mode "full" only, W_l of class l (0-based) in place, under the diagonals
+    in rw, which are not refreshed; see train for mode and self_check. Returns
+    whether tau*I was added to the analysis system."""
+    X_l = ds.class_matrix(l + 1)
+    m, mbar = compute_means(pair.P[l], X_l, ds.sample_sum, ds.n_samples)
+    pair.P[l], regularized = update_P(
+        X_l, ds.gram, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp, self_check
+    )
+    v = np.ones_like(rw.v[l]) if mode == "frobenius" else rw.v[l]
+    codes.S[l] = update_S(X_l, pair.D[l], pair.P[l], codes.S[l], rw.u[l], v, hp.tau)
+    pair.D[l] = update_D(X_l, codes.S[l], v, hp.tau, self_check)
+    if mode == "full":
+        weights.W[l] = update_W(X_l, pair.P[l])
+    return regularized
 
 
 def _class_blocks(ds: LabeledDataset) -> list[np.ndarray]:
@@ -378,19 +421,14 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _check_solve_residual(Y, A, B, what: str) -> None:
-    res = np.linalg.norm(Y @ A - B)
-    if res > 1e-8 * max(np.linalg.norm(B), np.finfo(float).tiny):
-        raise NumericalError(f"{what} solve residual {res:.3e} exceeds 1e-8 relative")
-
-
 def train(
     ds: LabeledDataset,
     hp: Hyperparams,
     mode: str = "full",
     self_check: bool = False,
 ) -> tuple[DictionaryPair, CodingState, WeightState, TrainHistory]:
-    """Run the alternating-minimization loop.
+    """Run the alternating-minimization loop: each iteration runs sweep_class
+    and then update_reweights for every class in order.
 
     mode "full" runs every update; "reduced" requires beta = lam = 0 and skips
     the W updates (they no longer enter the objective); "frobenius" is reduced
@@ -406,10 +444,6 @@ def train(
         raise ValueError(f"mode {mode!r} requires beta = 0 and lam = 0")
 
     pair, codes, weights, rw = init_state(ds, hp)
-    Xs = _class_blocks(ds)
-    G, x, N = ds.gram, ds.sample_sum, ds.n_samples
-    means = [compute_means(P_l, X_l, x, N) for P_l, X_l in zip(pair.P, Xs)]
-
     history = TrainHistory()
     prev_obj = _finite(objective_model(ds, pair, weights, hp), "initial model objective")
     for it in range(1, hp.max_iter + 1):
@@ -418,31 +452,9 @@ def train(
         D_old = [D_l.copy() for D_l in pair.D]
         W_old = [W_l.copy() for W_l in weights.W]
         for l in range(ds.n_classes):
-            X_l = Xs[l]
-            m, mbar = means[l]
-            if self_check:
-                A, B, regularized = analysis_system(
-                    X_l, G, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp
-                )
-                pair.P[l] = _solve_right(A, B)
-                _check_solve_residual(pair.P[l], A, B, "analysis")
-            else:
-                pair.P[l], regularized = update_P(
-                    X_l, G, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp
-                )
-            history.tau_regularized += regularized
-            means[l] = compute_means(pair.P[l], X_l, x, N)
-            v_eff = np.ones_like(rw.v[l]) if mode == "frobenius" else rw.v[l]
-            codes.S[l] = update_S(X_l, pair.D[l], pair.P[l], codes.S[l], rw.u[l], v_eff, hp.tau)
-            D_pre = solve_synthesis(X_l, codes.S[l], v_eff, hp.tau)
-            if self_check:
-                A_d = (codes.S[l] * v_eff) @ codes.S[l].T + hp.tau * np.eye(codes.S[l].shape[0])
-                B_d = (X_l * v_eff) @ codes.S[l].T
-                _check_solve_residual(D_pre, A_d, B_d, "synthesis")
-            pair.D[l] = _normalize_columns(D_pre, X_l.shape[0])
+            history.tau_regularized += sweep_class(ds, l, pair, codes, weights, rw, hp, mode, self_check)
+            X_l = ds.class_matrix(l + 1)
             rw.h[l], rw.u[l], rw.v[l] = update_reweights(X_l, pair.D[l], pair.P[l], codes.S[l], hp.tau)
-            if mode == "full":
-                weights.W[l] = update_W(X_l, pair.P[l])
         obj = _finite(objective_model(ds, pair, weights, hp), f"model objective at iteration {it}")
         relaxed = objective_relaxed(ds, pair, codes, weights, hp)
         history.objective_model.append(obj)

@@ -20,8 +20,8 @@ from dictpair import (
     surrogate_relaxed,
     train,
 )
-from dictpair import baselines, metrics
-from dictpair.cli import SWEEP_SEED_BASE, _frozen_sweep, _sweep_instance, main
+from dictpair import baselines, metrics, solver
+from dictpair.cli import SWEEP_SEED_BASE, _sweep_instance, main
 from dictpair.model import DictionaryPair, WeightState
 
 
@@ -47,7 +47,8 @@ def test_criterion_2_frozen_sweep_monotonicity():
     for seed in range(SWEEP_SEED_BASE, SWEEP_SEED_BASE + 20):
         ds, pair, codes, weights, rw, hp = _sweep_instance(seed)
         before = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
-        _frozen_sweep(ds, pair, codes, weights, rw, hp)
+        for l in range(ds.n_classes):
+            solver.sweep_class(ds, l, pair, codes, weights, rw, hp)
         after = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
         worst = max(worst, (after - before) / abs(before))
     elapsed = time.monotonic() - t0
@@ -101,9 +102,7 @@ def test_criterion_5_ablation_ordering(corrupt_split, corrupt_hp):
     }
     for name, acc in ablated.items():
         assert full >= acc, f"full {full} < {name} {acc}"
-    reduced_pair, _ = baselines.train_reduced(
-        train_ds, dataclasses.replace(corrupt_hp, beta=0.0, lam=0.0)
-    )
+    reduced_pair = train(train_ds, dataclasses.replace(corrupt_hp, beta=0.0, lam=0.0), mode="reduced")[0]
     reduced = evaluate(test_ds, reduced_pair).accuracy
     assert full >= reduced
     report(

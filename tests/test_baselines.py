@@ -6,18 +6,12 @@ from dictpair import baselines
 from dictpair.model import WeightState
 
 
-def test_train_reduced_rejects_nonzero_terms():
-    ds = make_synthetic(2, 5, 4, 0.1, 0.0, seed=1)
-    with pytest.raises(ValueError, match="beta"):
-        baselines.train_reduced(ds, Hyperparams(alpha=0.3, beta=0.1, lam=0.0, atoms_per_class=2))
-
-
 def test_reduced_matches_full_with_zero_terms():
     # with beta = lam = 0 the weight blocks never feed back into P, S, or D,
     # so skipping the W updates changes nothing
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
     hp = Hyperparams(alpha=0.3, beta=0.0, lam=0.0, atoms_per_class=2, seed=5)
-    pair_red, hist_red = baselines.train_reduced(ds, hp)
+    pair_red, _, _, hist_red = train(ds, hp, mode="reduced")
     pair_full, codes_full, weights_full, hist_full = train(ds, hp, mode="full")
     assert abs(hist_red.objective_model[-1] - hist_full.objective_model[-1]) < 1e-10
     for l in range(2):
@@ -39,7 +33,7 @@ def test_reduced_objective_invariant_to_weights():
 def test_frobenius_mode_runs():
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
     hp = Hyperparams(alpha=0.3, beta=0.0, lam=0.0, atoms_per_class=2, seed=5)
-    pair, _ = baselines.train_reduced(ds, hp, frobenius=True)
+    pair = train(ds, hp, mode="frobenius")[0]
     for D_l in pair.D:
         np.testing.assert_allclose(D_l.sum(axis=0), 1.0, rtol=0, atol=1e-10)
 

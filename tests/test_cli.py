@@ -155,6 +155,22 @@ def test_train_self_check_flag(workdir, capsys):
     assert rc == 0
 
 
+def test_train_self_check_flag_fails_on_inaccurate_solves(workdir, capsys, monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
+    run(capsys, *synth_args(workdir / "d"))
+    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"), "--self-check")
+    assert rc == 3 and "analysis solve residual" in err
+
+
+def test_train_rejects_nan_hyperparameter(workdir, capsys):
+    run(capsys, *synth_args(workdir / "d"))
+    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model", alpha="nan"))
+    assert rc == 2
+    assert "error: alpha must be finite" in err and "Traceback" not in err
+    assert not (workdir / "m.model").exists()
+
+
 def test_train_preset_resolution(workdir, capsys):
     run(capsys, *synth_args(workdir / "d"))
     rc, out, _ = run(capsys, "train", "--data", f"{workdir}/d.mat",
@@ -221,6 +237,18 @@ def test_eval_dimension_mismatch(workdir, capsys):
     rc, _, err = run(capsys, "eval", "--data", f"{workdir}/e.mat",
                      "--labels", f"{workdir}/e.labels", "--model", f"{workdir}/m.model")
     assert rc == 2 and "dimension" in err
+
+
+def test_eval_rejects_non_finite_model_entry(workdir, capsys):
+    run(capsys, *synth_args(workdir / "d"))
+    run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    lines = (workdir / "m.model").read_text().splitlines()
+    lines[-1] = "nan " + lines[-1].split(" ", 1)[1]  # last row of P_2
+    (workdir / "m.model").write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "eval", "--data", f"{workdir}/d.mat",
+                       "--labels", f"{workdir}/d.labels", "--model", f"{workdir}/m.model")
+    assert rc == 2 and out == ""
+    assert "error: " in err and "m.model: class 2 block P_2" in err and "Traceback" not in err
 
 
 # --- ablate --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ def test_hyperparam_validation():
         Hyperparams(tol=0.0)
     with pytest.raises(ValueError):
         Hyperparams(max_iter=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "lam", "tau", "tol"])
+def test_hyperparams_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Hyperparams(**{name: value})
 
 
 def test_unit_fnorm_helper():
@@ -103,6 +112,30 @@ def test_model_truncated(tmp_path):
     (tmp_path / "cut.model").write_text("\n".join(text[: len(text) // 2]) + "\n")
     with pytest.raises(ValueError, match="truncated|values"):
         load_model(tmp_path / "cut.model")
+
+
+def test_model_rejects_non_finite_block(tmp_path):
+    _, hp, pair = trained_tiny()
+    path = tmp_path / "m.model"
+    save_model(path, pair, hp)
+    lines = path.read_text().splitlines()
+    # magic, dims, atom counts, hyperparameters, then D_1 (header + 5 rows), then P_1
+    assert lines[10] == "2 5"
+    lines[11] = "nan " + lines[11].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"m\.model: class 1 block P_1 has a non-finite entry"):
+        load_model(path)
+
+
+def test_model_rejects_non_finite_hyperparameter(tmp_path):
+    _, hp, pair = trained_tiny()
+    path = tmp_path / "m.model"
+    save_model(path, pair, hp)
+    lines = path.read_text().splitlines()
+    lines[3] = "nan " + lines[3].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        load_model(path)
 
 
 def test_model_behavioral_equivalence(tmp_path):

@@ -15,8 +15,8 @@ from dictpair import (
     train,
 )
 from dictpair import solver
-from dictpair.cli import SWEEP_SEED_BASE, _frozen_sweep, _sweep_instance
-from dictpair.model import CodingState, DictionaryPair, WeightState
+from dictpair.cli import SWEEP_SEED_BASE, _sweep_instance
+from dictpair.model import CodingState, DictionaryPair, WeightState, init_state
 
 
 # --- smoothed row norms ------------------------------------------------------
@@ -540,6 +540,41 @@ def test_train_self_check_mode(standard_split, standard_hp):
     assert history.tau_regularized == train_ds.n_classes * history.iterations_run
 
 
+def test_train_self_check_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
+    # every solve off by 1e-3 relative leaves a residual near 1e-6 after one refinement step
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
+    train_ds, _ = standard_split
+    hp = dataclasses.replace(standard_hp, max_iter=2)
+    with pytest.raises(solver.NumericalError, match="analysis solve residual"):
+        train(train_ds, hp, self_check=True)
+    train(train_ds, hp)
+    X_l = train_ds.class_matrix(1)
+    S_l = np.abs(np.random.default_rng(0).standard_normal((2, X_l.shape[1])))
+    v = np.ones(X_l.shape[1])
+    with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
+        solver.update_D(X_l, S_l, v, 1e-6, self_check=True)
+    solver.update_D(X_l, S_l, v, 1e-6)
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced", "frobenius"])
+def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_hp, mode):
+    train_ds, _ = standard_split
+    hp = dataclasses.replace(standard_hp, max_iter=1)
+    if mode != "full":
+        hp = dataclasses.replace(hp, beta=0.0, lam=0.0)
+    pair, codes, weights, _ = train(train_ds, hp, mode=mode)
+    ref_pair, ref_codes, ref_weights, rw = init_state(train_ds, hp)
+    for l in range(train_ds.n_classes):
+        solver.sweep_class(train_ds, l, ref_pair, ref_codes, ref_weights, rw, hp, mode)
+        rw.h[l], rw.u[l], rw.v[l] = solver.update_reweights(
+            train_ds.class_matrix(l + 1), ref_pair.D[l], ref_pair.P[l], ref_codes.S[l], hp.tau
+        )
+    for got, want in [(pair.P, ref_pair.P), (pair.D, ref_pair.D), (codes.S, ref_codes.S),
+                      (weights.W, ref_weights.W)]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 def test_train_counts_no_guard_on_standard_config(trained_standard):
     assert trained_standard[3].tau_regularized == 0
 
@@ -604,7 +639,8 @@ def test_sweep_monotone_on_pinned_instances():
     for seed in range(SWEEP_SEED_BASE, SWEEP_SEED_BASE + 20):
         ds, pair, codes, weights, rw, hp = _sweep_instance(seed)
         before = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
-        _frozen_sweep(ds, pair, codes, weights, rw, hp)
+        for l in range(ds.n_classes):
+            solver.sweep_class(ds, l, pair, codes, weights, rw, hp)
         after = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
         worst = max(worst, (after - before) / abs(before))
     assert worst <= 1e-8
