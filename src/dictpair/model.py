@@ -163,53 +163,76 @@ def save_model(path, pair: DictionaryPair, hp: Hyperparams) -> None:
                     fh.write(" ".join(f"{val:.17g}" for val in row) + "\n")
 
 
-def _read_block(fh, path) -> np.ndarray:
-    header = fh.readline().split()
+def _numbers(tokens, convert, lineno, path) -> list:
+    """Convert the tokens of one line; a bad token is a ValueError naming the
+    file, the line number and the token."""
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError:
+        for t in tokens:
+            try:
+                convert(t)
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(f"{path}, line {lineno}: expected {kind}, got {t!r}") from None
+        raise
+
+
+def _read_block(lines, path) -> np.ndarray:
+    lineno, line = next(lines, (0, ""))
+    header = line.split()
     if len(header) != 2:
         raise ValueError(f"{path}: truncated model file (missing matrix header)")
-    rows, cols = int(header[0]), int(header[1])
+    rows, cols = _numbers(header, int, lineno, path)
     values = []
     while len(values) < rows * cols:
-        line = fh.readline()
+        lineno, line = next(lines, (0, ""))
         if not line:
             raise ValueError(f"{path}: truncated model file (matrix body ends early)")
-        values.extend(float(t) for t in line.split())
+        values.extend(_numbers(line.split(), float, lineno, path))
     if len(values) != rows * cols:
         raise ValueError(f"{path}: matrix block has {len(values)} values, expected {rows * cols}")
     return np.array(values).reshape(rows, cols)
 
 
 def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
-    """Load a model file written by save_model; a non-finite hyperparameter or
-    D/P entry is a ValueError."""
+    """Load a model file written by save_model; a non-numeric token or a
+    non-finite hyperparameter or D/P entry is a ValueError."""
     with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
+        lines = enumerate(fh, start=1)
+        magic = next(lines, (0, ""))[1].strip()
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: unsupported model version {magic!r} (expected {MODEL_MAGIC!r})")
-        dims = fh.readline().split()
+        lineno, line = next(lines, (0, ""))
+        dims = line.split()
         if len(dims) != 3:
             raise ValueError(f"{path}: truncated model file (missing dimensions)")
-        c, n, K = (int(t) for t in dims)
-        ks = [int(t) for t in fh.readline().split()]
+        c, n, K = _numbers(dims, int, lineno, path)
+        lineno, line = next(lines, (0, ""))
+        ks = _numbers(line.split(), int, lineno, path)
         if len(ks) != c or sum(ks) != K:
             raise ValueError(f"{path}: atom counts {ks} inconsistent with c={c}, K={K}")
-        hline = fh.readline().split()
+        lineno, line = next(lines, (0, ""))
+        hline = line.split()
         if len(hline) != 7:
             raise ValueError(f"{path}: truncated model file (missing hyperparameter line)")
+        alpha, beta, lam, tau = _numbers(hline[:4], float, lineno, path)
+        max_iter, seed = _numbers([hline[4], hline[6]], int, lineno, path)
+        (tol,) = _numbers([hline[5]], float, lineno, path)
         hp = Hyperparams(
-            alpha=float(hline[0]),
-            beta=float(hline[1]),
-            lam=float(hline[2]),
-            tau=float(hline[3]),
+            alpha=alpha,
+            beta=beta,
+            lam=lam,
+            tau=tau,
             atoms_per_class=max(ks),
-            max_iter=int(hline[4]),
-            tol=float(hline[5]),
-            seed=int(hline[6]),
+            max_iter=max_iter,
+            tol=tol,
+            seed=seed,
         )
         D, P = [], []
         for l in range(c):
-            D_l = _read_block(fh, path)
-            P_l = _read_block(fh, path)
+            D_l = _read_block(lines, path)
+            P_l = _read_block(lines, path)
             if D_l.shape != (n, ks[l]) or P_l.shape != (ks[l], n):
                 raise ValueError(f"{path}: class {l + 1} block shapes {D_l.shape}, {P_l.shape} mismatch header")
             for name, block in (("D", D_l), ("P", P_l)):

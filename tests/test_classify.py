@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictpair import classify_sample, evaluate, partition_by_class
+from dictpair import classify as classify_module
 from dictpair.classify import class_residuals
 from dictpair.model import DictionaryPair
 
@@ -83,6 +86,13 @@ def test_evaluate_constant_predictor():
     assert np.array_equal(report.confusion, [[2, 0], [2, 0]])
 
 
+@pytest.mark.parametrize("label", [0, 3])
+def test_evaluate_rejects_out_of_range_label(label):
+    # label 0 used to be counted as a prediction of the last class
+    with pytest.raises(ValueError, match=f"classifier returned label {label}, expected 1..2"):
+        evaluate(small_testset(), _FixedPredictor({(1.0,): 1, (2.0,): label, (3.0,): 2, (4.0,): 2}))
+
+
 def test_residual_never_forms_dense_product():
     # cost per class is two matrix-vector products; the k x n and n x k blocks
     # are applied in sequence, never multiplied together
@@ -104,3 +114,96 @@ def test_evaluate_recount_oracle(rng):
     # confusion rows sum to the per-class test counts
     assert report.confusion.sum(axis=1).tolist() == [6, 6]
     assert report.confusion.sum() == 12
+
+
+# --- batched residuals in evaluate -------------------------------------------
+
+def random_model(rng, n, ks):
+    return DictionaryPair(D=[rng.standard_normal((n, k)) for k in ks],
+                          P=[rng.standard_normal((k, n)) for k in ks])
+
+
+def assert_matches_columns(model, Y):
+    batched = class_residuals(Y, model)
+    per_column = np.stack([class_residuals(Y[:, j], model) for j in range(Y.shape[1])], axis=1)
+    assert batched.shape == (model.n_classes, Y.shape[1])
+    assert np.all(np.abs(batched - per_column) <= 1e-12 * per_column)
+
+
+def test_batched_residuals_match_per_column_unequal_atoms(rng):
+    assert_matches_columns(random_model(rng, 6, [1, 3, 2]), rng.standard_normal((6, 25)))
+
+
+def test_batched_residuals_match_per_column_trained(trained_standard, standard_split):
+    _, test_ds = standard_split
+    assert_matches_columns(trained_standard[0], test_ds.X)
+
+
+def test_evaluate_matches_classify_sample_on_trained_model(trained_standard, standard_split):
+    pair = trained_standard[0]
+    _, test_ds = standard_split
+    predicted = np.array([classify_sample(test_ds.X[:, j], pair) for j in range(test_ds.n_samples)])
+    assert np.array_equal(np.argmin(class_residuals(test_ds.X, pair), axis=0) + 1, predicted)
+    expected = np.zeros((3, 3), dtype=int)
+    for true, pred in zip(test_ds.labels, predicted):
+        expected[true - 1, pred - 1] += 1
+    assert np.array_equal(evaluate(test_ds, pair).confusion, expected)
+
+
+def test_evaluate_zero_model_predicts_first_class(rng):
+    ds = partition_by_class(rng.standard_normal((4, 9)), np.array([1, 2, 3] * 3))
+    zero = DictionaryPair(D=[np.zeros((4, 2))] * 3, P=[np.zeros((2, 4))] * 3)
+    assert np.array_equal(evaluate(ds, zero).confusion, [[3, 0, 0], [3, 0, 0], [3, 0, 0]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e6))
+def test_evaluate_positive_scaling_invariance(scale):
+    rng = np.random.default_rng(11)
+    model = random_model(rng, 5, [2, 2, 2])
+    X = rng.standard_normal((5, 30))
+    labels = np.array([1, 2, 3] * 10)
+    confusion = evaluate(partition_by_class(X, labels), model).confusion
+    assert np.array_equal(evaluate(partition_by_class(scale * X, labels), model).confusion, confusion)
+
+
+def test_exact_reconstruction_raises_no_warning():
+    # Gram-form rounding makes some of these r^2 slightly negative before the
+    # clamp; the sqrt of a negative would be a RuntimeWarning
+    Y = np.random.default_rng(3).standard_normal((6, 40))
+    model = DictionaryPair(D=[np.eye(6), np.zeros((6, 2))], P=[np.eye(6), np.zeros((2, 6))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = class_residuals(Y, model)
+    assert np.all(residuals[0] <= 1e-7 * np.linalg.norm(Y, axis=0))
+    assert np.all(residuals[0] >= 0)
+
+
+def test_evaluate_calls_class_residuals_once(monkeypatch, trained_standard, standard_split):
+    calls = []
+
+    def counted(y, model):
+        calls.append(np.shape(y))
+        return class_residuals(y, model)
+
+    monkeypatch.setattr(classify_module, "class_residuals", counted)
+    _, test_ds = standard_split
+    evaluate(test_ds, trained_standard[0])
+    assert calls == [test_ds.X.shape]
+
+
+def test_evaluate_rejects_more_model_classes_than_labels(rng):
+    ds = partition_by_class(rng.standard_normal((4, 6)), np.array([1, 2] * 3))
+    with pytest.raises(ValueError, match="model has 3 classes, test labels have 2"):
+        evaluate(ds, random_model(rng, 4, [2, 2, 2]))
+
+
+def test_batched_dimension_mismatch(rng):
+    with pytest.raises(ValueError, match="sample dimension 5 != model dimension 4"):
+        class_residuals(np.ones((5, 3)), random_model(rng, 4, [2, 2]))
+
+
+def test_batched_rejects_class_without_atoms(rng):
+    model = random_model(rng, 4, [2, 0, 1])
+    with pytest.raises(ValueError, match="class 2 has no atoms"):
+        class_residuals(np.ones((4, 3)), model)

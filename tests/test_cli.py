@@ -251,6 +251,33 @@ def test_eval_rejects_non_finite_model_entry(workdir, capsys):
     assert "error: " in err and "m.model: class 2 block P_2" in err and "Traceback" not in err
 
 
+def test_eval_rejects_more_model_classes_than_labels(workdir, capsys):
+    run(capsys, *synth_args(workdir / "d", classes=3))
+    run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    run(capsys, *synth_args(workdir / "e", classes=2))
+    rc, out, err = run(capsys, "eval", "--data", f"{workdir}/e.mat",
+                       "--labels", f"{workdir}/e.labels", "--model", f"{workdir}/m.model")
+    assert rc == 2 and out == ""
+    assert "error: model has 3 classes, test labels have 2" in err
+
+
+@pytest.mark.parametrize("index, edit, message", [
+    (1, lambda text: text.rsplit(" ", 1)[0] + " x", "expected an integer, got 'x'"),  # "c n K" line
+    (-1, lambda text: "abc " + text.split(" ", 1)[1], "expected a number, got 'abc'"),  # last row of P_2
+])
+def test_eval_rejects_non_numeric_model_token(workdir, capsys, index, edit, message):
+    run(capsys, *synth_args(workdir / "d"))
+    run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    lines = (workdir / "m.model").read_text().splitlines()
+    lines[index] = edit(lines[index])
+    (workdir / "m.model").write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "eval", "--data", f"{workdir}/d.mat",
+                       "--labels", f"{workdir}/d.labels", "--model", f"{workdir}/m.model")
+    lineno = range(1, len(lines) + 1)[index]
+    assert rc == 2 and out == ""
+    assert f"error: {workdir}/m.model, line {lineno}: {message}" in err and "Traceback" not in err
+
+
 # --- ablate --------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
