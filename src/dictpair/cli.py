@@ -106,15 +106,15 @@ def _load_dataset(args) -> LabeledDataset:
 
 
 def _preprocess(ds: LabeledDataset, args) -> LabeledDataset:
-    if getattr(args, "project_dim", None) is None and not getattr(args, "normalize", False):
+    if args.project_dim is None and not args.normalize:
         return ds
     X = ds.X
     steps = []
-    if getattr(args, "project_dim", None) is not None:
+    if args.project_dim is not None:
         steps.append("project")
-    if getattr(args, "normalize", False):
+    if args.normalize:
         steps.append("normalize")
-    if getattr(args, "prep_order", "project-then-normalize") == "normalize-then-project":
+    if args.prep_order == "normalize-then-project":
         steps = steps[::-1]
     for step in steps:
         if step == "project":
@@ -125,7 +125,7 @@ def _preprocess(ds: LabeledDataset, args) -> LabeledDataset:
 
 
 def _print_config(args, hp: Hyperparams | None = None, extra: dict | None = None) -> None:
-    if not getattr(args, "print_config", False):
+    if not args.print_config:
         return
     items = {}
     if hp is not None:

@@ -5,6 +5,9 @@ Samples are columns of an ``n x N`` matrix; labels are integers ``1..c`` with
 every class present. The text matrix format is a header line ``rows cols``
 followed by row-major whitespace-separated decimals (17 significant digits on
 save, so doubles round-trip exactly). A labels file holds one integer per line.
+``read_block``/``write_block`` are the one codec of a matrix block, in matrix and
+model files; ``parse_tokens`` converts every token of a matrix, label or model
+file, so a bad one is ``<file>, line <N>: expected a number, got '<token>'``.
 """
 
 from dataclasses import dataclass, field
@@ -80,35 +83,72 @@ class LabeledDataset:
         return [idx.size for idx in self.per_class]
 
 
+def parse_tokens(tokens, convert, path, lineno) -> list:
+    """Convert the tokens of one line with ``convert`` (``int`` or ``float``); a
+    bad token is a ValueError naming the file, the line number and the token."""
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError:
+        for t in tokens:
+            try:
+                convert(t)
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(f"{path}, line {lineno}: expected {kind}, got {t!r}") from None
+        raise
+
+
+def read_block(lines, path) -> np.ndarray:
+    """Read one matrix block, a positive ``rows cols`` header line and then
+    ``rows*cols`` values over any number of lines, streamed from ``lines``, an
+    ``enumerate(fh, start=1)`` that is left just after the block's last line."""
+    lineno, line = next(lines, (None, ""))
+    if lineno is None:
+        raise ValueError(f"{path}: truncated file (missing matrix header 'rows cols')")
+    header = line.split()
+    if len(header) != 2:
+        raise ValueError(f"{path}, line {lineno}: matrix header must be two integers 'rows cols'")
+    rows, cols = parse_tokens(header, int, path, lineno)
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"{path}, line {lineno}: dimensions must be positive, got {rows}x{cols}")
+    size, values = rows * cols, []
+    for lineno, line in lines:
+        values.extend(parse_tokens(line.split(), float, path, lineno))
+        if len(values) > size:
+            raise ValueError(f"{path}, line {lineno}: expected {size} values for a {rows}x{cols} matrix, found more")
+        if len(values) == size:
+            return np.array(values).reshape(rows, cols)
+    raise ValueError(f"{path}: expected {size} values for a {rows}x{cols} matrix, found {len(values)}")
+
+
+def write_block(fh, M: np.ndarray) -> None:
+    """Write one matrix block: the ``rows cols`` header, then one row per line
+    with 17 significant digits."""
+    fh.write(f"{M.shape[0]} {M.shape[1]}\n")
+    for row in M:
+        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from the text format ``rows cols`` + values.
 
-    Rejects a NaN or infinite value, naming the file and its position.
+    Rejects values left over after the block and a NaN or infinite value,
+    naming the file and its position.
     """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: header must be two integers 'rows cols'")
-        try:
-            rows, cols = int(header[0]), int(header[1])
-        except ValueError:
-            raise ValueError(f"{path}: non-integer dimensions in header {header!r}") from None
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"{path}: dimensions must be positive, got {rows}x{cols}")
-        tokens = fh.read().split()
-    if len(tokens) != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} values for a {rows}x{cols} matrix, found {len(tokens)}"
-        )
-    try:
-        values = np.array([float(t) for t in tokens], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric token ({exc})") from None
-    finite = np.isfinite(values)
+        lines = enumerate(fh, start=1)
+        M = read_block(lines, path)
+        for lineno, line in lines:
+            if line.strip():
+                raise ValueError(f"{path}, line {lineno}: expected {M.size} values for a "
+                                 f"{M.shape[0]}x{M.shape[1]} matrix, found more")
+    finite = np.isfinite(M)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"{path}: non-finite value {tokens[i]!r} at row {i // cols}, column {i % cols}")
-    return values.reshape(rows, cols)
+        with open(path, "r", encoding="ascii") as fh:  # error path: quote the token as written
+            token = fh.read().split()[2 + i]
+        raise ValueError(f"{path}: non-finite value {token!r} at row {i // M.shape[1]}, column {i % M.shape[1]}")
+    return M
 
 
 def save_matrix(path, M: np.ndarray) -> None:
@@ -117,20 +157,16 @@ def save_matrix(path, M: np.ndarray) -> None:
     if M.ndim != 2:
         raise ValueError("save_matrix expects a 2-D array")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        write_block(fh, M)
 
 
 def load_labels(path) -> np.ndarray:
     """Read a labels file: one integer per line."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    try:
-        labels = np.array([int(t) for t in tokens], dtype=int)
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-integer label ({exc})") from None
-    return labels
+        labels = []
+        for lineno, line in enumerate(fh, start=1):
+            labels.extend(parse_tokens(line.split(), int, path, lineno))
+    return np.array(labels, dtype=int)
 
 
 def save_labels(path, labels: np.ndarray) -> None:
@@ -167,17 +203,9 @@ def random_projection_features(X: np.ndarray, d: int, seed: int) -> np.ndarray:
 def partition_by_class(X: np.ndarray, labels: np.ndarray) -> LabeledDataset:
     """Group columns by class label, preserving within-class column order.
 
-    Rejects a matrix with a NaN or infinite entry, naming the first such column.
+    Rejects a matrix with a NaN or infinite entry, naming the first such column;
+    ``LabeledDataset`` checks the labels.
     """
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1 or labels.size != X.shape[1]:
-        raise ValueError("labels length must equal the number of columns")
-    c = int(labels.max(initial=0))
-    if labels.min(initial=1) < 1:
-        raise ValueError(f"labels must lie in 1..c, got {labels.min()}")
-    for l in range(1, c + 1):
-        if not np.any(labels == l):
-            raise ValueError(f"class {l} is empty")
     finite = np.isfinite(X).all(axis=0)
     if not finite.all():
         raise ValueError(f"column {int(np.argmin(finite))} contains a non-finite value (NaN or inf)")

@@ -13,7 +13,7 @@ Model file format (text, round-trip exact):
     c n K
     k_1 ... k_c
     alpha beta lambda tau max_iter tol seed
-    D_1, P_1, ..., D_c, P_c   (each in the dense-matrix format of data.py)
+    D_1, P_1, ..., D_c, P_c   (each a matrix block, read and written by data.py)
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, load_matrix, save_matrix
+from .data import LabeledDataset, parse_tokens, read_block, write_block
 
 MODEL_MAGIC = "RADPL v1"
 
@@ -157,47 +157,14 @@ def save_model(path, pair: DictionaryPair, hp: Hyperparams) -> None:
             f"{hp.max_iter} {hp.tol:.17g} {hp.seed}\n"
         )
         for D_l, P_l in zip(pair.D, pair.P):
-            for M in (D_l, P_l):
-                fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-                for row in M:
-                    fh.write(" ".join(f"{val:.17g}" for val in row) + "\n")
-
-
-def _numbers(tokens, convert, lineno, path) -> list:
-    """Convert the tokens of one line; a bad token is a ValueError naming the
-    file, the line number and the token."""
-    try:
-        return [convert(t) for t in tokens]
-    except ValueError:
-        for t in tokens:
-            try:
-                convert(t)
-            except ValueError:
-                kind = "an integer" if convert is int else "a number"
-                raise ValueError(f"{path}, line {lineno}: expected {kind}, got {t!r}") from None
-        raise
-
-
-def _read_block(lines, path) -> np.ndarray:
-    lineno, line = next(lines, (0, ""))
-    header = line.split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: truncated model file (missing matrix header)")
-    rows, cols = _numbers(header, int, lineno, path)
-    values = []
-    while len(values) < rows * cols:
-        lineno, line = next(lines, (0, ""))
-        if not line:
-            raise ValueError(f"{path}: truncated model file (matrix body ends early)")
-        values.extend(_numbers(line.split(), float, lineno, path))
-    if len(values) != rows * cols:
-        raise ValueError(f"{path}: matrix block has {len(values)} values, expected {rows * cols}")
-    return np.array(values).reshape(rows, cols)
+            write_block(fh, D_l)
+            write_block(fh, P_l)
 
 
 def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
-    """Load a model file written by save_model; a non-numeric token or a
-    non-finite hyperparameter or D/P entry is a ValueError."""
+    """Load a model file written by save_model; a non-numeric token, a class count,
+    dimension or atom count below one, or a non-finite hyperparameter or D/P entry
+    is a ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
         lines = enumerate(fh, start=1)
         magic = next(lines, (0, ""))[1].strip()
@@ -207,18 +174,19 @@ def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
         dims = line.split()
         if len(dims) != 3:
             raise ValueError(f"{path}: truncated model file (missing dimensions)")
-        c, n, K = _numbers(dims, int, lineno, path)
+        c, n, K = parse_tokens(dims, int, path, lineno)
+        if c < 1 or n < 1:
+            raise ValueError(f"{path}, line {lineno}: c and n must be positive, got c={c}, n={n}")
         lineno, line = next(lines, (0, ""))
-        ks = _numbers(line.split(), int, lineno, path)
-        if len(ks) != c or sum(ks) != K:
-            raise ValueError(f"{path}: atom counts {ks} inconsistent with c={c}, K={K}")
+        ks = parse_tokens(line.split(), int, path, lineno)
+        if len(ks) != c or sum(ks) != K or min(ks) < 1:
+            raise ValueError(f"{path}, line {lineno}: atom counts {ks} must be positive and match c={c}, K={K}")
         lineno, line = next(lines, (0, ""))
         hline = line.split()
         if len(hline) != 7:
             raise ValueError(f"{path}: truncated model file (missing hyperparameter line)")
-        alpha, beta, lam, tau = _numbers(hline[:4], float, lineno, path)
-        max_iter, seed = _numbers([hline[4], hline[6]], int, lineno, path)
-        (tol,) = _numbers([hline[5]], float, lineno, path)
+        alpha, beta, lam, tau, tol = parse_tokens(hline[:4] + [hline[5]], float, path, lineno)
+        max_iter, seed = parse_tokens([hline[4], hline[6]], int, path, lineno)
         hp = Hyperparams(
             alpha=alpha,
             beta=beta,
@@ -231,8 +199,8 @@ def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
         )
         D, P = [], []
         for l in range(c):
-            D_l = _read_block(lines, path)
-            P_l = _read_block(lines, path)
+            D_l = read_block(lines, path)
+            P_l = read_block(lines, path)
             if D_l.shape != (n, ks[l]) or P_l.shape != (ks[l], n):
                 raise ValueError(f"{path}: class {l + 1} block shapes {D_l.shape}, {P_l.shape} mismatch header")
             for name, block in (("D", D_l), ("P", P_l)):

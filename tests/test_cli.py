@@ -278,6 +278,22 @@ def test_eval_rejects_non_numeric_model_token(workdir, capsys, index, edit, mess
     assert f"error: {workdir}/m.model, line {lineno}: {message}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("index, text, message", [
+    (1, "0 5 0", "line 2: c and n must be positive, got c=0, n=5"),  # "c n K" line
+    (2, "0 4", "line 3: atom counts [0, 4] must be positive"),  # a class with no atoms
+], ids=["no-classes", "class-without-atoms"])
+def test_eval_rejects_degenerate_model_header(workdir, capsys, index, text, message):
+    run(capsys, *synth_args(workdir / "d"))
+    run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    lines = (workdir / "m.model").read_text().splitlines()
+    lines[index] = text
+    (workdir / "m.model").write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "eval", "--data", f"{workdir}/d.mat",
+                       "--labels", f"{workdir}/d.labels", "--model", f"{workdir}/m.model")
+    assert rc == 2 and out == ""
+    assert f"error: {workdir}/m.model, {message}" in err and "Traceback" not in err
+
+
 # --- ablate --------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,28 @@ def test_load_count_mismatch(tmp_path):
 def test_load_non_numeric(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1 2\n1 abc\n")
-    with pytest.raises(ValueError, match="non-numeric"):
+    with pytest.raises(ValueError, match=r"m\.txt, line 2: expected a number, got 'abc'"):
+        data.load_matrix(p)
+
+
+def test_load_values_over_any_lines(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("2 2\n1\n\n2 3\n4\n\n")
+    assert np.array_equal(data.load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", r"m\.txt: truncated file \(missing matrix header"),
+    ("2 x\n1 2\n", r"m\.txt, line 1: expected an integer, got 'x'"),
+    ("-3 -1\n1 2 3\n", r"m\.txt, line 1: dimensions must be positive, got -3x-1"),
+    ("1 2\n1 2 3\n", r"m\.txt, line 2: expected 2 values for a 1x2 matrix, found more"),
+    ("1 2\n1 2\n\n3\n", r"m\.txt, line 4: expected 2 values for a 1x2 matrix, found more"),
+    ("1000000 1000000\n1 2\n", r"m\.txt: expected 1000000000000 values for a 1000000x1000000 matrix, found 2"),
+], ids=["empty", "non-integer-header", "negative-header", "overfull-line", "values-left-over", "huge-header"])
+def test_load_malformed_block_names_line(tmp_path, text, message):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
         data.load_matrix(p)
 
 
@@ -76,6 +97,13 @@ def test_labels_roundtrip(tmp_path):
     labels = np.array([1, 2, 1, 3])
     data.save_labels(p, labels)
     assert np.array_equal(data.load_labels(p), labels)
+
+
+def test_labels_bad_token_names_file_and_line(tmp_path):
+    p = tmp_path / "l.txt"
+    p.write_text("1\n2\n2.5\n1\n")
+    with pytest.raises(ValueError, match=r"l\.txt, line 3: expected an integer, got '2\.5'"):
+        data.load_labels(p)
 
 
 # --- normalization -----------------------------------------------------------

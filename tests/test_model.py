@@ -7,6 +7,7 @@ from dictpair import (
     Hyperparams,
     classify_sample,
     init_state,
+    load_matrix,
     load_model,
     make_synthetic,
     save_model,
@@ -135,6 +136,42 @@ def test_model_rejects_non_finite_hyperparameter(tmp_path):
     lines[3] = "nan " + lines[3].split(" ", 1)[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="alpha must be finite"):
+        load_model(path)
+
+
+def test_model_blocks_are_matrix_files(tmp_path):
+    _, hp, pair = trained_tiny()
+    path = tmp_path / "m.model"
+    save_model(path, pair, hp)
+    lines = path.read_text().splitlines(keepends=True)
+    start = 4  # magic, dims, atom counts, hyperparameters
+    for l in range(pair.n_classes):
+        for name, M in (("D", pair.D[l]), ("P", pair.P[l])):
+            rows = int(lines[start].split()[0])
+            block = tmp_path / f"{name}_{l + 1}.mat"
+            block.write_text("".join(lines[start : start + 1 + rows]))
+            start += 1 + rows
+            loaded = load_matrix(block)
+            assert loaded.dtype == M.dtype and loaded.shape == M.shape
+            assert loaded.tobytes() == M.tobytes()
+    assert start == len(lines)
+
+
+@pytest.mark.parametrize("index, text, message", [
+    (1, "0 5 0", r"line 2: c and n must be positive, got c=0, n=5"),
+    (1, "2 0 4", r"line 2: c and n must be positive, got c=2, n=0"),
+    (2, "0 4", r"line 3: atom counts \[0, 4\] must be positive"),
+    (2, "-1 5", r"line 3: atom counts \[-1, 5\] must be positive"),
+    (4, "-5 -2", r"line 5: dimensions must be positive, got -5x-2"),
+], ids=["no-classes", "no-features", "class-without-atoms", "negative-atoms", "negative-block-header"])
+def test_model_rejects_degenerate_header(tmp_path, index, text, message):
+    _, hp, pair = trained_tiny()
+    path = tmp_path / "m.model"
+    save_model(path, pair, hp)
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"m\.model, " + message):
         load_model(path)
 
 
