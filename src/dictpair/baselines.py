@@ -1,9 +1,11 @@
 """Reference classifiers: two sanity baselines that serve as accuracy floors.
+The subspace one is a DictionaryPair, classified like a trained pair.
 The reduced dictionary pair is train(..., mode="reduced" or "frobenius")."""
 
 import numpy as np
 
 from .data import LabeledDataset
+from .model import DictionaryPair
 
 
 class NearestClassMean:
@@ -25,20 +27,9 @@ def nearest_class_mean(ds_train: LabeledDataset) -> NearestClassMean:
     return NearestClassMean(means)
 
 
-class LeastSquaresSubspace:
-    """Assign each sample to the class whose rank-k principal subspace
-    reconstructs it with the smallest residual."""
-
-    def __init__(self, bases: list[np.ndarray]):
-        self.bases = bases  # per class: n x k orthonormal columns
-
-    def classify(self, y: np.ndarray) -> int:
-        y = np.asarray(y, dtype=float)
-        res = [np.linalg.norm(y - B @ (B.T @ y)) for B in self.bases]
-        return int(np.argmin(res)) + 1
-
-
-def least_squares_subspace(ds_train: LabeledDataset, k: int) -> LeastSquaresSubspace:
+def least_squares_subspace(ds_train: LabeledDataset, k: int) -> DictionaryPair:
+    """Pair D_l = B_l, P_l = B_l' of each class's rank-k principal subspace B_l
+    (n x k orthonormal columns): the class residual is ||y - B_l B_l' y||."""
     bases = []
     for l in range(1, ds_train.n_classes + 1):
         X_l = ds_train.class_matrix(l)
@@ -48,4 +39,4 @@ def least_squares_subspace(ds_train: LabeledDataset, k: int) -> LeastSquaresSubs
             )
         U, _, _ = np.linalg.svd(X_l, full_matrices=False)
         bases.append(U[:, :k])
-    return LeastSquaresSubspace(bases)
+    return DictionaryPair(D=bases, P=[B.T for B in bases])

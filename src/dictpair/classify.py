@@ -3,18 +3,16 @@
 A sample y is assigned to the class whose pair reconstructs it best:
 argmin_l ||y - D_l (P_l y)||_2. Ties break to the lowest class index.
 
-One sample (``classify_sample``) costs two small matrix-vector products per
-class, never forming D_l P_l. ``evaluate`` batches the whole test matrix Y in
-Gram form, with z_l = P_l y:
+Every residual, of one sample or of a test matrix Y, is computed in one Gram
+form, with z_l = P_l y:
 
     ||y - D_l z_l||^2 = ||y||^2 + z_l' (D_l' D_l z_l - 2 D_l' y)
 
-The bracket is (D_l' D_l P_l - 2 D_l') y, so one GEMM of the stacked
-2K x n rows [P; D'D P - 2D'] with Y gives both factors for every class and
-column, and only k_l x n blocks are formed. Its absolute error in r^2 is about
-eps * ||y||^2, so residuals below about 1e-8 * ||y|| are not resolved (they
-read as 0). Batching changes no interface: ``classify_sample`` still takes one
-vector, and ``dictpair eval`` prints the same stdout/CSV.
+The bracket is (D_l' D_l P_l - 2 D_l') y, so one product of the 2K x n rows
+[P; D'D P - 2D'] (``DictionaryPair.residual_operator``) with Y gives both
+factors for every class and column; D_l P_l is never formed. The absolute
+error in r^2 is about eps * ||y||^2: residuals below about 1e-8 * ||y|| are
+not resolved and read as 0 (a tie) or as rounding noise.
 """
 
 from dataclasses import dataclass
@@ -35,33 +33,30 @@ class EvalReport:
 def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
     """Reconstruction residual ||y - D_l (P_l y)||_2 for every class.
 
-    A vector y gives a length-c array. An n x N matrix gives the c x N matrix
-    of residuals of its columns, computed in the stacked Gram form of the
-    module docstring; it never forms D_l P_l or a per-class reconstruction.
+    A vector y gives a length-c array, an n x N matrix the c x N residuals of
+    its columns, both in the Gram form of the module docstring. A column with a
+    NaN or inf entry, or an overflowing norm, is a ValueError raised first.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        y = y.reshape(-1)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"expected one sample vector or an n x N sample matrix, got shape {y.shape}")
     if y.shape[0] != model.n_features:
         raise ValueError(f"sample dimension {y.shape[0]} != model dimension {model.n_features}")
-    if y.ndim == 1:
-        return np.array([np.linalg.norm(y - D_l @ (P_l @ y)) for D_l, P_l in zip(model.D, model.P)])
-    ks = model.atoms_per_class
-    if 0 in ks:
-        raise ValueError(f"class {ks.index(0) + 1} has no atoms")
-    K = sum(ks)
-    # rows [P; Q] with Q_l = D_l' D_l P_l - 2 D_l' (k_l x n): one GEMM gives
-    # Z = P Y and D'D Z - 2 D'Y, whose product summed over each class's atoms
-    # is r^2 - ||y||^2
-    Q = [(D_l.T @ D_l) @ P_l - 2.0 * D_l.T for D_l, P_l in zip(model.D, model.P)]
-    ZW = np.concatenate(model.P + Q) @ y
-    starts = np.cumsum([0] + ks[:-1])
-    r2 = np.einsum("ij,ij->j", y, y) + np.add.reduceat(ZW[:K] * ZW[K:], starts, axis=0)
-    return np.sqrt(np.maximum(r2, 0.0))
+    Y = y if y.ndim == 2 else y[:, None]
+    sq = np.einsum("ij,ij->j", Y, Y)
+    if not np.isfinite(sq).all():
+        raise ValueError(f"sample column {int(np.argmin(np.isfinite(sq)))} has a NaN, an inf or an overflowing norm")
+    rows, starts = model.residual_operator
+    # Z = P Y and W = D'D Z - 2 D'Y; Z * W summed over a class's atoms is r^2 - ||y||^2
+    Z, W = np.split(rows @ Y, 2)
+    r2 = sq + np.add.reduceat(Z * W, starts, axis=0)
+    return np.sqrt(np.maximum(r2, 0.0)).reshape((-1,) + y.shape[1:])
 
 
 def classify_sample(y: np.ndarray, model: DictionaryPair) -> int:
-    """1-based label of the minimum-residual class (first on ties)."""
+    """1-based label of the minimum-residual class (first on ties) of one sample."""
+    if np.shape(y)[1:] not in ((), (1,)):
+        raise ValueError(f"classify_sample takes one vector or n x 1 column, got shape {np.shape(y)}")
     return int(np.argmin(class_residuals(y, model))) + 1
 
 
@@ -70,7 +65,7 @@ def evaluate(testset: LabeledDataset, model) -> EvalReport:
 
     model is a DictionaryPair, classified with one batched ``class_residuals``
     call over all test columns, or any object with a classify(y) -> label
-    method (the sanity baselines qualify), called once per column.
+    method (the nearest-class-mean baseline qualifies), called once per column.
     """
     c = testset.n_classes
     if hasattr(model, "classify"):

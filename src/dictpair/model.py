@@ -19,6 +19,7 @@ Model file format (text, round-trip exact):
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,18 @@ class DictionaryPair:
     def atom_classes(self) -> np.ndarray:
         """1-based class label of each atom/code row in assembled order."""
         return np.repeat(np.arange(1, self.n_classes + 1), self.atoms_per_class)
+
+    @cached_property
+    def residual_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``[P; D'D P - 2D']`` (2K x n) and each class's first row, the
+        operator of ``classify.class_residuals``; built on first use and cached
+        (``D`` and ``P`` are not to be modified afterwards). A class with no
+        atoms is a ValueError."""
+        ks = self.atoms_per_class
+        if 0 in ks:
+            raise ValueError(f"class {ks.index(0) + 1} has no atoms")
+        Q = [(D_l.T @ D_l) @ P_l - 2.0 * D_l.T for D_l, P_l in zip(self.D, self.P)]
+        return np.concatenate(self.P + Q), np.cumsum([0] + ks[:-1])
 
 
 @dataclass

@@ -59,7 +59,8 @@ def test_subspace_full_rank_reconstructs_training_samples():
     clf = baselines.least_squares_subspace(ds, 4)
     for l in (1, 2):
         X_l = ds.class_matrix(l)
-        B = clf.bases[l - 1]
+        B = clf.D[l - 1]
+        assert np.array_equal(clf.P[l - 1], B.T)
         for j in range(X_l.shape[1]):
             y = X_l[:, j]
             assert np.linalg.norm(y - B @ (B.T @ y)) < 1e-10

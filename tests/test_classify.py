@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictpair import classify_sample, evaluate, partition_by_class
+from dictpair import Hyperparams, classify_sample, evaluate, partition_by_class
 from dictpair import classify as classify_module
 from dictpair.classify import class_residuals
-from dictpair.model import DictionaryPair
+from dictpair.data import LabeledDataset
+from dictpair.model import DictionaryPair, load_model, save_model
 
 
 def two_class_model(D1, P1, D2, P2):
@@ -94,12 +95,22 @@ def test_evaluate_rejects_out_of_range_label(label):
 
 
 def test_residual_never_forms_dense_product():
-    # cost per class is two matrix-vector products; the k x n and n x k blocks
-    # are applied in sequence, never multiplied together
-    import inspect
+    # one D_l P_l at n = 2000 is a 32 MB allocation; building the Gram-form
+    # operator of a fresh model and applying it to a vector or to a matrix
+    # stays far below that
+    import tracemalloc
 
-    src = inspect.getsource(class_residuals)
-    assert "D_l @ (P_l @ y)" in src
+    rng = np.random.default_rng(5)
+    n = 2000
+    for y in (rng.standard_normal(n), rng.standard_normal((n, 8))):
+        model = random_model(rng, n, [5, 5, 5])
+        tracemalloc.start()
+        try:
+            class_residuals(y, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10
 
 
 def test_evaluate_recount_oracle(rng):
@@ -124,10 +135,15 @@ def random_model(rng, n, ks):
 
 
 def assert_matches_columns(model, Y):
+    # reference: the direct form, one reconstruction D_l (P_l Y) per class
+    direct = np.stack([np.linalg.norm(Y - D_l @ (P_l @ Y), axis=0) for D_l, P_l in zip(model.D, model.P)])
     batched = class_residuals(Y, model)
-    per_column = np.stack([class_residuals(Y[:, j], model) for j in range(Y.shape[1])], axis=1)
     assert batched.shape == (model.n_classes, Y.shape[1])
-    assert np.all(np.abs(batched - per_column) <= 1e-12 * per_column)
+    assert np.all(np.abs(batched - direct) <= 1e-12 * direct)
+    for j in range(Y.shape[1]):
+        single = class_residuals(Y[:, j], model)
+        assert single.shape == (model.n_classes,)
+        assert np.all(np.abs(single - direct[:, j]) <= 1e-12 * direct[:, j])
 
 
 def test_batched_residuals_match_per_column_unequal_atoms(rng):
@@ -207,3 +223,53 @@ def test_batched_rejects_class_without_atoms(rng):
     model = random_model(rng, 4, [2, 0, 1])
     with pytest.raises(ValueError, match="class 2 has no atoms"):
         class_residuals(np.ones((4, 3)), model)
+
+
+def test_classify_sample_takes_exactly_one_sample(rng):
+    # a 4 x 5 matrix used to give the argmin over all 3 x 5 residuals (label 8)
+    model = random_model(rng, 4, [2, 2, 2])
+    y = rng.standard_normal(4)
+    assert classify_sample(y[:, None], model) == classify_sample(y, model)
+    for bad in (rng.standard_normal((4, 5)), rng.standard_normal((4, 2))):
+        with pytest.raises(ValueError, match="one vector or n x 1 column"):
+            classify_sample(bad, model)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), ()])
+def test_class_residuals_rejects_other_than_vector_or_matrix(rng, shape):
+    # a (2, 2, 1) array used to be flattened and classified as a 4-vector
+    with pytest.raises(ValueError, match="got shape"):
+        class_residuals(np.ones(shape), random_model(rng, 4, [2, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_non_finite_sample_is_rejected(rng, bad):
+    # it used to be classified as class 1, with a RuntimeWarning (an error here);
+    # 1e200 is finite, but its squared norm overflows
+    model = random_model(rng, 4, [2, 2])
+    with pytest.raises(ValueError, match="sample column 0 has a NaN"):
+        classify_sample(np.full(4, bad), model)
+
+
+def test_evaluate_rejects_non_finite_column(rng):
+    # partition_by_class rejects this matrix; a dataset built directly does not,
+    # and its NaN column used to count as a class-1 prediction
+    X = rng.standard_normal((4, 4))
+    X[2, 3] = np.nan
+    ds = LabeledDataset(X=X, labels=np.array([1, 2, 1, 2]))
+    with pytest.raises(ValueError, match="sample column 3 has a NaN"):
+        evaluate(ds, random_model(rng, 4, [2, 2]))
+
+
+def test_residual_operator_is_built_on_first_use(rng, tmp_path):
+    # loading a model does not build it (that cost would land in load time);
+    # the first classification does, and later calls reuse it
+    path = tmp_path / "m.model"
+    save_model(path, random_model(rng, 4, [2, 3]), Hyperparams())
+    pair, _ = load_model(path)
+    assert "residual_operator" not in vars(pair)
+    classify_sample(np.ones(4), pair)
+    rows = vars(pair)["residual_operator"][0]
+    class_residuals(np.ones((4, 3)), pair)
+    assert vars(pair)["residual_operator"][0] is rows
+    assert rows.shape == (10, 4)
