@@ -20,10 +20,10 @@ from .data import (
     split,
 )
 from .model import (
+    ClassState,
     CodingState,
     DictionaryPair,
     Hyperparams,
-    ReweightState,
     WeightState,
     init_state,
     load_model,
@@ -41,12 +41,12 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClassState",
     "CodingState",
     "DictionaryPair",
     "EvalReport",
     "Hyperparams",
     "LabeledDataset",
-    "ReweightState",
     "TrainHistory",
     "WeightState",
     "classify_sample",

@@ -15,7 +15,17 @@ class NearestClassMean:
         self.means = means  # n x c
 
     def classify(self, y: np.ndarray) -> int:
-        d = np.linalg.norm(self.means - np.asarray(y, dtype=float)[:, None], axis=0)
+        """1-based label of the nearest mean; a sample that is not a vector of
+        the means' length, or has a NaN, an inf or an overflowing norm, is a
+        ValueError (it would otherwise tie every distance at NaN or inf)."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1:
+            raise ValueError(f"expected one sample vector, got shape {y.shape}")
+        if y.shape[0] != self.means.shape[0]:
+            raise ValueError(f"sample dimension {y.shape[0]} != model dimension {self.means.shape[0]}")
+        if not np.isfinite(np.einsum("i,i->", y, y)):
+            raise ValueError("sample has a NaN, an inf or an overflowing norm")
+        d = np.linalg.norm(self.means - y[:, None], axis=0)
         return int(np.argmin(d)) + 1
 
 

@@ -1,7 +1,10 @@
 """Class-residual classification with a trained dictionary pair.
 
 A sample y is assigned to the class whose pair reconstructs it best:
-argmin_l ||y - D_l (P_l y)||_2. Ties break to the lowest class index.
+argmin_l ||y - D_l (P_l y)||_2. Residuals that are equal in floating point
+tie to the lowest class index; residuals that differ by less than the rounding
+error below (about 1e-8 * ||y||) are decided by that rounding noise, not by
+class order.
 
 Every residual, of one sample or of a test matrix Y, is computed in one Gram
 form, with z_l = P_l y:
@@ -54,7 +57,9 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
 
 
 def classify_sample(y: np.ndarray, model: DictionaryPair) -> int:
-    """1-based label of the minimum-residual class (first on ties) of one sample."""
+    """1-based label of the minimum-residual class of one sample: the first
+    of residuals equal in floating point; near-ties within about 1e-8 * ||y||
+    are decided by rounding noise (see the module docstring)."""
     if np.shape(y)[1:] not in ((), (1,)):
         raise ValueError(f"classify_sample takes one vector or n x 1 column, got shape {np.shape(y)}")
     return int(np.argmin(class_residuals(y, model))) + 1

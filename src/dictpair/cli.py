@@ -354,11 +354,11 @@ def cmd_gradcheck(args) -> int:
     # full sweep with frozen diagonals never increases the quadratic surrogate
     worst = -np.inf
     for inst in range(5):
-        ds, pair, codes, weights, rw, hp_s = _sweep_instance(SWEEP_SEED_BASE + inst)
-        s0 = solver.surrogate_relaxed(ds, pair, codes, weights, rw, hp_s)
-        for l in range(ds.n_classes):
-            solver.sweep_class(ds, l, pair, codes, weights, rw, hp_s)
-        s1 = solver.surrogate_relaxed(ds, pair, codes, weights, rw, hp_s)
+        ds, states, hp_s = _sweep_instance(SWEEP_SEED_BASE + inst)
+        s0 = solver.surrogate_relaxed(ds, states, hp_s)
+        for l, st in enumerate(states):
+            solver.sweep_class(ds, l, st, hp_s)
+        s1 = solver.surrogate_relaxed(ds, states, hp_s)
         worst = max(worst, (s1 - s0) / max(abs(s0), 1e-30))
     record("sweep-surrogate-monotone", worst <= 1e-8, f"worst relative increase {worst:.3e}")
 
@@ -366,17 +366,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def _sweep_instance(seed: int):
-    """Random two-class instance for the frozen-diagonal sweep check."""
+    """Random two-class instance (dataset, ClassState records, hyperparameters)
+    for the frozen-diagonal sweep check."""
     rng = np.random.default_rng(seed)
     c, n, N_l, k = 2, 6, 5, 3
     X = np.concatenate([rng.uniform(1.0, 2.0, (n, N_l)) for _ in range(c)], axis=1)
     ds = partition_by_class(X, np.repeat(np.arange(1, c + 1), N_l))
     hp = Hyperparams(alpha=0.05, beta=0.05, lam=1e-3, tau=1e-6, atoms_per_class=k, seed=seed)
-    pair, codes, weights, rw = init_state(ds, hp)
-    for l in range(c):
+    states = init_state(ds, hp)
+    for st in states:
         D_l = np.abs(rng.standard_normal((n, k)))
-        pair.D[l] = D_l / np.linalg.norm(D_l)
-    return ds, pair, codes, weights, rw, hp
+        st.D = D_l / np.linalg.norm(D_l)
+    return ds, states, hp
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,10 @@ Per class l the model holds a synthesis block D_l (n x k_l, columns summing to
 one after updates) and an analysis block P_l (k_l x n). Training additionally
 carries nonnegative codes S_l (k_l x N_l), zero-diagonal reconstruction weights
 W_l (N_l x N_l), and three positive reweighting diagonals stored as vectors:
-h (length n), u and v (length N_l). Only D and P are persisted; classification
-needs nothing else.
+h (length n), u and v (length N_l). During training all seven live in one
+ClassState record per class (init_state returns the list of them); train hands
+back D and P as a DictionaryPair, S as CodingState and W as WeightState. Only
+D and P are persisted; classification needs nothing else.
 
 Model file format (text, round-trip exact):
 
@@ -113,12 +115,20 @@ class WeightState:
 
 
 @dataclass
-class ReweightState:
-    """Positive reweighting diagonals per class, stored as vectors."""
+class ClassState:
+    """Training state of one class: D (n x k), P (k x n), S (k x N_l),
+    W (N_l x N_l) and the reweighting diagonals h (n), u and v (N_l).
 
-    h: list[np.ndarray]
-    u: list[np.ndarray]
-    v: list[np.ndarray]
+    The updates rebind these attributes to new arrays and never write into
+    the arrays, so a shallow copy of a record is a snapshot of it."""
+
+    D: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    W: np.ndarray
+    h: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
 def _unit_fnorm(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -127,10 +137,8 @@ def _unit_fnorm(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return B / np.linalg.norm(B)
 
 
-def init_state(
-    ds: LabeledDataset, hp: Hyperparams
-) -> tuple[DictionaryPair, CodingState, WeightState, ReweightState]:
-    """Seeded random initialization.
+def init_state(ds: LabeledDataset, hp: Hyperparams) -> list[ClassState]:
+    """Seeded random initialization, one ClassState per class in label order.
 
     Each of D_l, P_l, S_l, W_l is drawn from default_rng(hp.seed) and scaled to
     unit Frobenius norm; S_l takes absolute values before scaling (the
@@ -140,22 +148,18 @@ def init_state(
     n = ds.n_features
     k = hp.atoms_per_class
     rng = np.random.default_rng(hp.seed)
-    D, P, S, W, h, u, v = [], [], [], [], [], [], []
+    states = []
     for l, cols in enumerate(ds.per_class, start=1):
         N_l = cols.size
         if k > N_l:
             warnings.warn(f"class {l}: atoms_per_class={k} exceeds N_l={N_l}", stacklevel=2)
-        D.append(_unit_fnorm(rng, (n, k)))
-        P.append(_unit_fnorm(rng, (k, n)))
+        D_l = _unit_fnorm(rng, (n, k))
+        P_l = _unit_fnorm(rng, (k, n))
         S_l = np.abs(rng.standard_normal((k, N_l)))
-        S.append(S_l / np.linalg.norm(S_l))
         W_l = _unit_fnorm(rng, (N_l, N_l))
         np.fill_diagonal(W_l, 0.0)
-        W.append(W_l)
-        h.append(np.ones(n))
-        u.append(np.ones(N_l))
-        v.append(np.ones(N_l))
-    return DictionaryPair(D=D, P=P), CodingState(S=S), WeightState(W=W), ReweightState(h=h, u=u, v=v)
+        states.append(ClassState(D_l, P_l, S_l / np.linalg.norm(S_l), W_l, np.ones(n), np.ones(N_l), np.ones(N_l)))
+    return states
 
 
 def save_model(path, pair: DictionaryPair, hp: Hyperparams) -> None:

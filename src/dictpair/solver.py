@@ -25,13 +25,16 @@ computed once per dataset (``LabeledDataset.gram`` and ``.sample_sum``):
 
 Row-sum norms are handled by iterative reweighting: a row of norm r carries a
 weight 1/(2r + tau), which turns each ||.||_21 term into a weighted quadratic.
-One training iteration runs, for each class in order, sweep_class under the
-current diagonals: code means from the current P_l, analysis block P_l (n x n
-linear solve, see analysis_system), codes S_l (multiplicative rule),
-synthesis block D_l (ridge solve + column-sum normalization) and the
-reconstruction weights W_l (linear solve + diagonal zeroing); then it
-refreshes that class's three reweighting diagonals. The loop stops when the
-model objective changes by less than tol between consecutive sweeps.
+Classes do not interact during training: class l's updates read only its own
+model.ClassState record (D_l, P_l, S_l, W_l and the diagonals h, u, v), the
+Gram matrix and the sample sum. One training iteration runs, for each record
+in order, sweep_class under the current diagonals: code means from the current
+P_l, analysis block P_l (n x n linear solve, see analysis_system), codes S_l
+(multiplicative rule), synthesis block D_l (ridge solve + column-sum
+normalization) and the reconstruction weights W_l (linear solve + diagonal
+zeroing); then it refreshes that class's three reweighting diagonals. The
+objectives take (ds, states, hp) and sum over the records. The loop stops when
+the model objective changes by less than tol between consecutive sweeps.
 
 Numerical guards: the analysis system A is checked by a Cholesky
 factorization A = L L', and tau*I is added to A only when the factorization
@@ -40,19 +43,13 @@ counts those solves. A non-finite A, and a non-finite objective in train,
 raise NumericalError.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import LabeledDataset
-from .model import (
-    CodingState,
-    DictionaryPair,
-    Hyperparams,
-    ReweightState,
-    WeightState,
-    init_state,
-)
+from .model import ClassState, CodingState, DictionaryPair, Hyperparams, WeightState, init_state
 
 # tau*I is added to the analysis system when (min L_ii / max L_ii)^2 of its
 # Cholesky factor falls below 1/COND_GUARD
@@ -291,30 +288,20 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
 
 
 def sweep_class(
-    ds: LabeledDataset,
-    l: int,
-    pair: DictionaryPair,
-    codes: CodingState,
-    weights: WeightState,
-    rw: ReweightState,
-    hp: Hyperparams,
-    mode: str = "full",
-    self_check: bool = False,
+    ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str = "full", self_check: bool = False
 ) -> bool:
-    """Update P_l (from the code means of the current P_l), S_l, D_l and, in
-    mode "full" only, W_l of class l (0-based) in place, under the diagonals
-    in rw, which are not refreshed; see train for mode and self_check. Returns
-    whether tau*I was added to the analysis system."""
+    """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
+    in mode "full" only, st.W of class l (0-based) to their updates under the
+    diagonals st.h, st.u, st.v, which are not refreshed; see train for mode and
+    self_check. Returns whether tau*I was added to the analysis system."""
     X_l = ds.class_matrix(l + 1)
-    m, mbar = compute_means(pair.P[l], X_l, ds.sample_sum, ds.n_samples)
-    pair.P[l], regularized = update_P(
-        X_l, ds.gram, codes.S[l], weights.W[l], rw.u[l], rw.h[l], m, mbar, hp, self_check
-    )
-    v = np.ones_like(rw.v[l]) if mode == "frobenius" else rw.v[l]
-    codes.S[l] = update_S(X_l, pair.D[l], pair.P[l], codes.S[l], rw.u[l], v, hp.tau)
-    pair.D[l] = update_D(X_l, codes.S[l], v, hp.tau, self_check)
+    m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
+    st.P, regularized = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, self_check)
+    v = np.ones_like(st.v) if mode == "frobenius" else st.v
+    st.S = update_S(X_l, st.D, st.P, st.S, st.u, v, hp.tau)
+    st.D = update_D(X_l, st.S, v, hp.tau, self_check)
     if mode == "full":
-        weights.W[l] = update_W(X_l, pair.P[l])
+        st.W = update_W(X_l, st.P)
     return regularized
 
 
@@ -342,56 +329,40 @@ def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
     return total
 
 
-def objective_relaxed(
-    ds: LabeledDataset,
-    pair: DictionaryPair,
-    codes: CodingState,
-    weights: WeightState,
-    hp: Hyperparams,
-) -> float:
+def objective_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
     total = 0.0
-    for X_l, D_l, P_l, S_l, W_l in zip(_class_blocks(ds), pair.D, pair.P, codes.S, weights.W):
-        total += row_norm_sum(X_l.T - S_l.T @ D_l.T)
-        total += row_norm_sum(S_l.T - X_l.T @ P_l.T)
-        total += hp.alpha * row_norm_sum(P_l.T)
-        total += _penalties(ds, X_l, P_l, W_l, hp)
+    for X_l, st in zip(_class_blocks(ds), states):
+        total += row_norm_sum(X_l.T - st.S.T @ st.D.T)
+        total += row_norm_sum(st.S.T - X_l.T @ st.P.T)
+        total += hp.alpha * row_norm_sum(st.P.T)
+        total += _penalties(ds, X_l, st.P, st.W, hp)
     return total
 
 
-def objective_model(
-    ds: LabeledDataset, pair: DictionaryPair, weights: WeightState, hp: Hyperparams
-) -> float:
-    """Model objective with codes eliminated (reconstruction through P then D)."""
+def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
+    """Model objective with codes eliminated (reconstruction through P then D);
+    the records' S and diagonals are not read."""
     total = 0.0
-    for X_l, D_l, P_l, W_l in zip(_class_blocks(ds), pair.D, pair.P, weights.W):
-        total += row_norm_sum(X_l.T - X_l.T @ P_l.T @ D_l.T)
-        total += hp.alpha * row_norm_sum(P_l.T)
-        total += _penalties(ds, X_l, P_l, W_l, hp)
+    for X_l, st in zip(_class_blocks(ds), states):
+        total += row_norm_sum(X_l.T - X_l.T @ st.P.T @ st.D.T)
+        total += hp.alpha * row_norm_sum(st.P.T)
+        total += _penalties(ds, X_l, st.P, st.W, hp)
     return total
 
 
-def surrogate_relaxed(
-    ds: LabeledDataset,
-    pair: DictionaryPair,
-    codes: CodingState,
-    weights: WeightState,
-    rw: ReweightState,
-    hp: Hyperparams,
-) -> float:
+def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with every row-sum norm replaced by its weighted
-    quadratic (trace) form under the given diagonals; a sweep run with frozen
-    diagonals is expected not to increase this quantity."""
+    quadratic (trace) form under the records' diagonals; a sweep run with
+    frozen diagonals is expected not to increase this quantity."""
     total = 0.0
-    for X_l, D_l, P_l, S_l, W_l, h, u, v in zip(
-        _class_blocks(ds), pair.D, pair.P, codes.S, weights.W, rw.h, rw.u, rw.v
-    ):
-        R1 = X_l - D_l @ S_l
-        R2 = S_l - P_l @ X_l
-        total += 2.0 * float(np.sum((R1 * R1) * v))
-        total += 2.0 * float(np.sum((R2 * R2) * u))
-        total += hp.alpha * 2.0 * float(np.sum((P_l * P_l) * h))
-        total += _penalties(ds, X_l, P_l, W_l, hp)
+    for X_l, st in zip(_class_blocks(ds), states):
+        R1 = X_l - st.D @ st.S
+        R2 = st.S - st.P @ X_l
+        total += 2.0 * float(np.sum((R1 * R1) * st.v))
+        total += 2.0 * float(np.sum((R2 * R2) * st.u))
+        total += hp.alpha * 2.0 * float(np.sum((st.P * st.P) * st.h))
+        total += _penalties(ds, X_l, st.P, st.W, hp)
     return total
 
 
@@ -411,8 +382,12 @@ def numeric_gradient(f, M: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def _assembled_delta(old: list[np.ndarray], new: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(old, new))))
+def _assembled_delta(old: list[ClassState], new: list[ClassState], name: str) -> float:
+    """Frobenius norm of the change of block `name` over all classes; each
+    difference is summed in C order, whatever the memory order of the blocks."""
+    return float(np.sqrt(sum(
+        np.linalg.norm((getattr(a, name) - getattr(b, name)).ravel()) ** 2 for a, b in zip(old, new)
+    )))
 
 
 def _finite(value: float, what: str) -> float:
@@ -427,8 +402,10 @@ def train(
     mode: str = "full",
     self_check: bool = False,
 ) -> tuple[DictionaryPair, CodingState, WeightState, TrainHistory]:
-    """Run the alternating-minimization loop: each iteration runs sweep_class
-    and then update_reweights for every class in order.
+    """Run the alternating-minimization loop from init_state: each iteration
+    runs sweep_class and then update_reweights on every class's record in order.
+    Returns the final D_l, P_l as a DictionaryPair, the S_l and W_l, and the
+    history.
 
     mode "full" runs every update; "reduced" requires beta = lam = 0 and skips
     the W updates (they no longer enter the objective); "frobenius" is reduced
@@ -443,29 +420,25 @@ def train(
     if mode in ("reduced", "frobenius") and (hp.beta != 0.0 or hp.lam != 0.0):
         raise ValueError(f"mode {mode!r} requires beta = 0 and lam = 0")
 
-    pair, codes, weights, rw = init_state(ds, hp)
+    states = init_state(ds, hp)
     history = TrainHistory()
-    prev_obj = _finite(objective_model(ds, pair, weights, hp), "initial model objective")
+    prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
     for it in range(1, hp.max_iter + 1):
-        P_old = [P_l.copy() for P_l in pair.P]
-        S_old = [S_l.copy() for S_l in codes.S]
-        D_old = [D_l.copy() for D_l in pair.D]
-        W_old = [W_l.copy() for W_l in weights.W]
-        for l in range(ds.n_classes):
-            history.tau_regularized += sweep_class(ds, l, pair, codes, weights, rw, hp, mode, self_check)
-            X_l = ds.class_matrix(l + 1)
-            rw.h[l], rw.u[l], rw.v[l] = update_reweights(X_l, pair.D[l], pair.P[l], codes.S[l], hp.tau)
-        obj = _finite(objective_model(ds, pair, weights, hp), f"model objective at iteration {it}")
-        relaxed = objective_relaxed(ds, pair, codes, weights, hp)
+        # shallow copies suffice: the updates rebind record attributes to new arrays
+        old = [copy.copy(st) for st in states]
+        for l, st in enumerate(states):
+            history.tau_regularized += sweep_class(ds, l, st, hp, mode, self_check)
+            st.h, st.u, st.v = update_reweights(ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
+        obj = _finite(objective_model(ds, states, hp), f"model objective at iteration {it}")
+        relaxed = objective_relaxed(ds, states, hp)
         history.objective_model.append(obj)
         history.objective_relaxed.append(_finite(relaxed, f"relaxed objective at iteration {it}"))
-        history.delta_P.append(_assembled_delta(P_old, pair.P))
-        history.delta_S.append(_assembled_delta(S_old, codes.S))
-        history.delta_D.append(_assembled_delta(D_old, pair.D))
-        history.delta_W.append(_assembled_delta(W_old, weights.W))
+        for name in "PSDW":
+            getattr(history, f"delta_{name}").append(_assembled_delta(old, states, name))
         history.iterations_run += 1
         if abs(obj - prev_obj) < hp.tol:
             history.converged = True
             break
         prev_obj = obj
-    return pair, codes, weights, history
+    pair = DictionaryPair(D=[st.D for st in states], P=[st.P for st in states])
+    return pair, CodingState(S=[st.S for st in states]), WeightState(W=[st.W for st in states]), history

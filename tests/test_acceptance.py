@@ -22,7 +22,9 @@ from dictpair import (
 )
 from dictpair import baselines, metrics, solver
 from dictpair.cli import SWEEP_SEED_BASE, _sweep_instance, main
-from dictpair.model import DictionaryPair, WeightState
+from dictpair.model import DictionaryPair
+
+from conftest import final_states
 
 
 def report(name: str, detail: str) -> None:
@@ -45,11 +47,11 @@ def test_criterion_2_frozen_sweep_monotonicity():
     t0 = time.monotonic()
     worst = -np.inf
     for seed in range(SWEEP_SEED_BASE, SWEEP_SEED_BASE + 20):
-        ds, pair, codes, weights, rw, hp = _sweep_instance(seed)
-        before = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
-        for l in range(ds.n_classes):
-            solver.sweep_class(ds, l, pair, codes, weights, rw, hp)
-        after = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
+        ds, states, hp = _sweep_instance(seed)
+        before = surrogate_relaxed(ds, states, hp)
+        for l, st in enumerate(states):
+            solver.sweep_class(ds, l, st, hp)
+        after = surrogate_relaxed(ds, states, hp)
         worst = max(worst, (after - before) / abs(before))
     elapsed = time.monotonic() - t0
     assert worst <= 1e-8
@@ -128,14 +130,16 @@ def test_criterion_6_structure(trained_standard, standard_split):
 def test_criterion_7_reduced_equivalence():
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
     hp = Hyperparams(alpha=0.3, beta=0.0, lam=0.0, atoms_per_class=2, seed=5)
-    pair_red, codes_red, weights_red, hist_red = train(ds, hp, mode="reduced")
+    trained_red = train(ds, hp, mode="reduced")
+    hist_red = trained_red[3]
     _, _, _, hist_full = train(ds, hp, mode="full")
     gap = abs(hist_red.objective_model[-1] - hist_full.objective_model[-1])
     assert gap < 1e-10
-    base = objective_relaxed(ds, pair_red, codes_red, weights_red, hp)
+    states_red = final_states(ds, trained_red, hp)
+    base = objective_relaxed(ds, states_red, hp)
     rng = np.random.default_rng(0)
-    bumped = WeightState(W=[W + rng.standard_normal(W.shape) for W in weights_red.W])
-    assert objective_relaxed(ds, pair_red, codes_red, bumped, hp) == base
+    bumped = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states_red]
+    assert objective_relaxed(ds, bumped, hp) == base
     report("7 reduced-equivalence", f"final-objective gap {gap:.3e}, W-invariant")
 
 

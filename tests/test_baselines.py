@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dictpair import Hyperparams, evaluate, make_synthetic, objective_relaxed, train
+from dictpair import Hyperparams, LabeledDataset, evaluate, make_synthetic, objective_relaxed, train
 from dictpair import baselines
-from dictpair.model import WeightState
+
+from conftest import final_states
 
 
 def test_reduced_matches_full_with_zero_terms():
@@ -22,11 +25,11 @@ def test_reduced_matches_full_with_zero_terms():
 def test_reduced_objective_invariant_to_weights():
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
     hp = Hyperparams(alpha=0.3, beta=0.0, lam=0.0, atoms_per_class=2, seed=5)
-    pair, codes, weights, _ = train(ds, hp, mode="reduced")
-    base = objective_relaxed(ds, pair, codes, weights, hp)
+    states = final_states(ds, train(ds, hp, mode="reduced"), hp)
+    base = objective_relaxed(ds, states, hp)
     rng = np.random.default_rng(3)
-    bumped = WeightState(W=[W + rng.standard_normal(W.shape) for W in weights.W])
-    assert objective_relaxed(ds, pair, codes, bumped, hp) == base
+    bumped = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states]
+    assert objective_relaxed(ds, bumped, hp) == base
     assert base >= 0.0
 
 
@@ -52,6 +55,25 @@ def test_nearest_class_mean_single_sample():
     ds = partition_by_class(X, np.array([1, 2]))
     clf = baselines.nearest_class_mean(ds)
     assert np.array_equal(clf.means, X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_nearest_class_mean_rejects_non_finite_sample(bad):
+    # a NaN column used to be counted as a class-1 prediction by evaluate;
+    # 1e200 is finite, but its squared norm overflows
+    ds = make_synthetic(3, 10, 8, 0.05, 0.0, seed=10)
+    clf = baselines.nearest_class_mean(ds)
+    X = ds.X.copy()
+    X[4, 16] = bad
+    with pytest.raises(ValueError, match="sample has a NaN, an inf or an overflowing norm"):
+        evaluate(LabeledDataset(X=X, labels=ds.labels), clf)
+
+
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()])
+def test_nearest_class_mean_rejects_wrong_shape(shape):
+    clf = baselines.nearest_class_mean(make_synthetic(3, 10, 8, 0.05, 0.0, seed=10))
+    with pytest.raises(ValueError, match="sample dimension|one sample vector"):
+        clf.classify(np.ones(shape))
 
 
 def test_subspace_full_rank_reconstructs_training_samples():

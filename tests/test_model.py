@@ -50,16 +50,17 @@ def test_unit_fnorm_helper():
 def test_init_block_norms_and_structure():
     ds = small_ds()
     hp = Hyperparams(atoms_per_class=2, seed=3)
-    pair, codes, weights, rw = init_state(ds, hp)
-    for l in range(2):
-        assert abs(np.linalg.norm(pair.D[l]) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(pair.P[l]) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(codes.S[l]) - 1.0) < 1e-12
-        assert np.all(codes.S[l] >= 0.0)
-        assert np.all(np.diag(weights.W[l]) == 0.0)
+    states = init_state(ds, hp)
+    assert len(states) == 2
+    for st in states:
+        assert abs(np.linalg.norm(st.D) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(st.P) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(st.S) - 1.0) < 1e-12
+        assert np.all(st.S >= 0.0)
+        assert np.all(np.diag(st.W) == 0.0)
         # diagonal zeroing happens after scaling, so the F-norm is at most 1
-        assert np.linalg.norm(weights.W[l]) <= 1.0
-        assert np.all(rw.h[l] == 1.0) and np.all(rw.u[l] == 1.0) and np.all(rw.v[l] == 1.0)
+        assert np.linalg.norm(st.W) <= 1.0
+        assert np.all(st.h == 1.0) and np.all(st.u == 1.0) and np.all(st.v == 1.0)
 
 
 def test_init_determinism():
@@ -68,10 +69,10 @@ def test_init_determinism():
     a = init_state(ds, hp)
     b = init_state(ds, hp)
     for l in range(2):
-        assert np.array_equal(a[0].D[l], b[0].D[l])
-        assert np.array_equal(a[0].P[l], b[0].P[l])
-        assert np.array_equal(a[1].S[l], b[1].S[l])
-        assert np.array_equal(a[2].W[l], b[2].W[l])
+        assert np.array_equal(a[l].D, b[l].D)
+        assert np.array_equal(a[l].P, b[l].P)
+        assert np.array_equal(a[l].S, b[l].S)
+        assert np.array_equal(a[l].W, b[l].W)
 
 
 def test_init_warns_when_atoms_exceed_samples():

@@ -16,7 +16,9 @@ from dictpair import (
 )
 from dictpair import solver
 from dictpair.cli import SWEEP_SEED_BASE, _sweep_instance
-from dictpair.model import CodingState, DictionaryPair, WeightState, init_state
+from dictpair.model import ClassState, init_state
+
+from conftest import final_states
 
 
 # --- smoothed row norms ------------------------------------------------------
@@ -196,8 +198,7 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
     hp = Hyperparams(alpha=0.3, beta=0.2, lam=0.05, atoms_per_class=3)
     ds = random_dataset(rng, sizes)
     n, k = ds.n_features, 3
-    pair = DictionaryPair(D=[], P=[])
-    codes, weights = CodingState(S=[]), WeightState(W=[])
+    states = []
     for l in range(1, ds.n_classes + 1):
         X, Xbar = ds.class_matrix(l), ds.complement_matrix(l)
         N = X.shape[1]
@@ -213,13 +214,10 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         assert not regularized
         assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
         assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
-        pair.D.append(rng.standard_normal((n, k)))
-        pair.P.append(P)
-        codes.S.append(S)
-        weights.W.append(W)
+        states.append(ClassState(rng.standard_normal((n, k)), P, S, W, h, u, np.ones(N)))
     for got, want in [
-        (objective_model(ds, pair, weights, hp), reference_objective(ds, pair, codes, weights, hp, relaxed=False)),
-        (objective_relaxed(ds, pair, codes, weights, hp), reference_objective(ds, pair, codes, weights, hp, relaxed=True)),
+        (objective_model(ds, states, hp), reference_objective(ds, states, hp, relaxed=False)),
+        (objective_relaxed(ds, states, hp), reference_objective(ds, states, hp, relaxed=True)),
     ]:
         assert abs(got - want) < 1e-10 * abs(want)
 
@@ -389,38 +387,36 @@ def test_update_W_stationarity_via_numeric_gradient(rng):
 
 def one_class_state(x, d, p, s, w):
     ds = partition_by_class(np.array([[float(x)]]), np.array([1]))
-    pair = DictionaryPair(D=[np.array([[float(d)]])], P=[np.array([[float(p)]])])
-    codes = CodingState(S=[np.array([[float(s)]])])
-    weights = WeightState(W=[np.array([[float(w)]])])
-    return ds, pair, codes, weights
+    blocks = [np.array([[float(b)]]) for b in (d, p, s, w)]
+    return ds, [ClassState(*blocks, np.ones(1), np.ones(1), np.ones(1))]
 
 
 def test_objective_relaxed_hand_case():
-    ds, pair, codes, weights = one_class_state(x=2.0, d=1.0, p=0.0, s=0.0, w=0.0)
+    ds, states = one_class_state(x=2.0, d=1.0, p=0.0, s=0.0, w=0.0)
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=1)
-    assert objective_relaxed(ds, pair, codes, weights, hp) == 2.0
+    assert objective_relaxed(ds, states, hp) == 2.0
 
 
 def test_objective_relaxed_zero_residual():
-    ds, pair, codes, weights = one_class_state(x=2.0, d=1.0, p=1.0, s=2.0, w=0.0)
+    ds, states = one_class_state(x=2.0, d=1.0, p=1.0, s=2.0, w=0.0)
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=1)
-    assert objective_relaxed(ds, pair, codes, weights, hp) == 0.0
+    assert objective_relaxed(ds, states, hp) == 0.0
 
 
 def test_objective_model_hand_case():
-    ds, pair, codes, weights = one_class_state(x=2.0, d=1.0, p=0.5, s=1.0, w=0.0)
+    ds, states = one_class_state(x=2.0, d=1.0, p=0.5, s=1.0, w=0.0)
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=1)
-    assert objective_model(ds, pair, weights, hp) == 1.0
+    assert objective_model(ds, states, hp) == 1.0
 
 
 def test_objective_model_perfect_reconstruction():
     # D P acts as the identity on the class data: zero objective
-    ds, pair, codes, weights = one_class_state(x=2.0, d=1.0, p=1.0, s=2.0, w=0.0)
+    ds, states = one_class_state(x=2.0, d=1.0, p=1.0, s=2.0, w=0.0)
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=1)
-    assert objective_model(ds, pair, weights, hp) == 0.0
+    assert objective_model(ds, states, hp) == 0.0
 
 
-def reference_objective(ds, pair, codes, weights, hp, relaxed):
+def reference_objective(ds, states, hp, relaxed):
     """Term-by-term recomputation with explicit loops over rows and classes."""
     def l21(R):
         return sum(np.sqrt(np.sum(R[i] ** 2)) for i in range(R.shape[0]))
@@ -429,11 +425,11 @@ def reference_objective(ds, pair, codes, weights, hp, relaxed):
     for l in range(1, ds.n_classes + 1):
         X = ds.class_matrix(l)
         Xbar = ds.complement_matrix(l)
-        D, P, W = pair.D[l - 1], pair.P[l - 1], weights.W[l - 1]
+        D, P, W = states[l - 1].D, states[l - 1].P, states[l - 1].W
         N = X.shape[1]
         PX = P @ X
         if relaxed:
-            S = codes.S[l - 1]
+            S = states[l - 1].S
             total += l21(X.T - S.T @ D.T) + l21(S.T - X.T @ P.T)
         else:
             total += l21(X.T - X.T @ P.T @ D.T)
@@ -450,27 +446,26 @@ def reference_objective(ds, pair, codes, weights, hp, relaxed):
 def random_two_class_state(rng, k=3):
     X = np.concatenate([rng.uniform(0.5, 1.5, (5, 4)) for _ in range(2)], axis=1)
     ds = partition_by_class(X, np.repeat([1, 2], 4))
-    pair = DictionaryPair(
-        D=[rng.standard_normal((5, k)) for _ in range(2)],
-        P=[rng.standard_normal((k, 5)) for _ in range(2)],
-    )
-    codes = CodingState(S=[np.abs(rng.standard_normal((k, 4))) for _ in range(2)])
+    D = [rng.standard_normal((5, k)) for _ in range(2)]
+    P = [rng.standard_normal((k, 5)) for _ in range(2)]
+    S = [np.abs(rng.standard_normal((k, 4))) for _ in range(2)]
     W = []
     for _ in range(2):
         W_l = rng.standard_normal((4, 4))
         np.fill_diagonal(W_l, 0.0)
         W.append(W_l)
-    return ds, pair, codes, WeightState(W=W)
+    ones = np.ones(5), np.ones(4), np.ones(4)
+    return ds, [ClassState(*blocks, *ones) for blocks in zip(D, P, S, W)]
 
 
 def test_objectives_match_reference(rng):
-    ds, pair, codes, weights = random_two_class_state(rng)
+    ds, states = random_two_class_state(rng)
     hp = Hyperparams(alpha=0.3, beta=0.2, lam=0.05, atoms_per_class=3)
-    got = objective_relaxed(ds, pair, codes, weights, hp)
-    want = reference_objective(ds, pair, codes, weights, hp, relaxed=True)
+    got = objective_relaxed(ds, states, hp)
+    want = reference_objective(ds, states, hp, relaxed=True)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
-    got = objective_model(ds, pair, weights, hp)
-    want = reference_objective(ds, pair, codes, weights, hp, relaxed=False)
+    got = objective_model(ds, states, hp)
+    want = reference_objective(ds, states, hp, relaxed=False)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -563,16 +558,36 @@ def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_
     hp = dataclasses.replace(standard_hp, max_iter=1)
     if mode != "full":
         hp = dataclasses.replace(hp, beta=0.0, lam=0.0)
-    pair, codes, weights, _ = train(train_ds, hp, mode=mode)
-    ref_pair, ref_codes, ref_weights, rw = init_state(train_ds, hp)
-    for l in range(train_ds.n_classes):
-        solver.sweep_class(train_ds, l, ref_pair, ref_codes, ref_weights, rw, hp, mode)
-        rw.h[l], rw.u[l], rw.v[l] = solver.update_reweights(
-            train_ds.class_matrix(l + 1), ref_pair.D[l], ref_pair.P[l], ref_codes.S[l], hp.tau
-        )
-    for got, want in [(pair.P, ref_pair.P), (pair.D, ref_pair.D), (codes.S, ref_codes.S),
-                      (weights.W, ref_weights.W)]:
+    pair, codes, weights, history = train(train_ds, hp, mode=mode)
+    states = init_state(train_ds, hp)
+    # explicit copies, independent of train's by-reference snapshot
+    old = {name: [getattr(st, name).copy() for st in states] for name in "PSDW"}
+    for l, st in enumerate(states):
+        solver.sweep_class(train_ds, l, st, hp, mode)
+        st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
+    for got, name in [(pair.P, "P"), (pair.D, "D"), (codes.S, "S"), (weights.W, "W")]:
+        want = [getattr(st, name) for st in states]
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        delta = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(old[name], want)))
+        assert getattr(history, f"delta_{name}") == [delta]
+    assert history.objective_model == [objective_model(train_ds, states, hp)]
+    assert history.objective_relaxed == [objective_relaxed(train_ds, states, hp)]
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced", "frobenius"])
+def test_sweep_never_writes_into_state_arrays(standard_split, standard_hp, mode):
+    # train snapshots the records by shallow copy, which holds only while every
+    # update returns a new array; a write into a read-only array raises
+    train_ds, _ = standard_split
+    hp = standard_hp if mode == "full" else dataclasses.replace(standard_hp, beta=0.0, lam=0.0)
+    states = init_state(train_ds, hp)
+    for _ in range(2):
+        for st in states:
+            for name in "DPSWhuv":
+                getattr(st, name).flags.writeable = False
+        for l, st in enumerate(states):
+            solver.sweep_class(train_ds, l, st, hp, mode, self_check=True)
+            st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
 
 
 def test_train_counts_no_guard_on_standard_config(trained_standard):
@@ -595,9 +610,9 @@ def test_train_and_objectives_never_build_complements(standard_split, standard_h
 
     train_ds, _ = standard_split
     monkeypatch.setattr(LabeledDataset, "complement_matrix", refuse)
-    pair, codes, weights, _ = train(train_ds, dataclasses.replace(standard_hp, max_iter=3))
-    assert np.isfinite(objective_model(train_ds, pair, weights, standard_hp))
-    assert np.isfinite(objective_relaxed(train_ds, pair, codes, weights, standard_hp))
+    states = final_states(train_ds, train(train_ds, dataclasses.replace(standard_hp, max_iter=3)), standard_hp)
+    assert np.isfinite(objective_model(train_ds, states, standard_hp))
+    assert np.isfinite(objective_relaxed(train_ds, states, standard_hp))
 
 
 def test_train_iterate_deltas_shrink(trained_standard):
@@ -625,11 +640,11 @@ def test_reduced_objective_ignores_weights(standard_split):
     # with beta = lam = 0 the relaxed objective has no W dependence at all
     train_ds, _ = standard_split
     hp = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, atoms_per_class=2, seed=10)
-    pair, codes, weights, _ = train(train_ds, hp, mode="reduced")
-    base = objective_relaxed(train_ds, pair, codes, weights, hp)
+    states = final_states(train_ds, train(train_ds, hp, mode="reduced"), hp)
+    base = objective_relaxed(train_ds, states, hp)
     rng = np.random.default_rng(0)
-    perturbed = WeightState(W=[W + rng.standard_normal(W.shape) for W in weights.W])
-    assert objective_relaxed(train_ds, pair, codes, perturbed, hp) == base
+    perturbed = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states]
+    assert objective_relaxed(train_ds, perturbed, hp) == base
 
 
 # --- frozen-diagonal sweep ---------------------------------------------------
@@ -637,10 +652,10 @@ def test_reduced_objective_ignores_weights(standard_split):
 def test_sweep_monotone_on_pinned_instances():
     worst = -np.inf
     for seed in range(SWEEP_SEED_BASE, SWEEP_SEED_BASE + 20):
-        ds, pair, codes, weights, rw, hp = _sweep_instance(seed)
-        before = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
-        for l in range(ds.n_classes):
-            solver.sweep_class(ds, l, pair, codes, weights, rw, hp)
-        after = surrogate_relaxed(ds, pair, codes, weights, rw, hp)
+        ds, states, hp = _sweep_instance(seed)
+        before = surrogate_relaxed(ds, states, hp)
+        for l, st in enumerate(states):
+            solver.sweep_class(ds, l, st, hp)
+        after = surrogate_relaxed(ds, states, hp)
         worst = max(worst, (after - before) / abs(before))
     assert worst <= 1e-8
