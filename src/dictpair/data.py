@@ -21,12 +21,13 @@ class LabeledDataset:
     """Column-sample matrix plus 1-based integer class labels.
 
     ``per_class[l-1]`` lists the column indices of class ``l`` in their
-    original order; the lists are disjoint and cover every column.
+    original order; it is always derived from ``labels``, so the lists are
+    disjoint and cover every column.
     """
 
     X: np.ndarray
     labels: np.ndarray
-    per_class: list[np.ndarray] = field(default_factory=list)
+    per_class: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
@@ -35,8 +36,7 @@ class LabeledDataset:
         c = int(self.labels.max(initial=0))
         if c < 1 or self.labels.min(initial=1) < 1:
             raise ValueError("labels must be integers in 1..c")
-        if not self.per_class:
-            self.per_class = [np.flatnonzero(self.labels == l) for l in range(1, c + 1)]
+        self.per_class = [np.flatnonzero(self.labels == l) for l in range(1, c + 1)]
         for l, idx in enumerate(self.per_class, start=1):
             if idx.size == 0:
                 raise ValueError(f"class {l} is empty")
@@ -234,8 +234,8 @@ def make_synthetic(
         raise ValueError("feature dimension must be >= number of classes")
     if per_class < 2:
         raise ValueError("need at least 2 samples per class")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if not 0.0 <= corrupt_frac <= 1.0:
         raise ValueError("corrupt_frac must lie in [0, 1]")
 
@@ -262,6 +262,8 @@ def make_synthetic(
 
 def split(ds: LabeledDataset, train_per_class: int, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded per-class split into train (exactly ``train_per_class`` columns) and test."""
+    if train_per_class < 1:
+        raise ValueError(f"train_per_class must be >= 1, got {train_per_class}")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for l, cols in enumerate(ds.per_class, start=1):

@@ -60,6 +60,13 @@ def test_synth_rejects_bad_corrupt(workdir, capsys):
     assert rc == 2 and "corrupt" in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_rejects_non_finite_noise(workdir, capsys, noise):
+    rc, _, err = run(capsys, *synth_args(workdir / "d", noise=noise))
+    assert rc == 2 and "noise_sigma" in err
+    assert not (workdir / "d.mat").exists()
+
+
 def test_synth_deterministic(workdir, capsys):
     run(capsys, *synth_args(workdir / "a", noise=0.2, corrupt=0.1, seed=11))
     run(capsys, *synth_args(workdir / "b", noise=0.2, corrupt=0.1, seed=11))
@@ -324,6 +331,14 @@ def test_ablate_four_rows_and_ordering(corrupted_prefix, capsys):
     assert full >= float(rows["alpha0"])
     assert full >= float(rows["beta0"])
     assert full >= float(rows["lambda0"])
+
+
+@pytest.mark.parametrize("train_per_class", ["0", "-2"])
+def test_ablate_rejects_nonpositive_train_per_class(corrupted_prefix, capsys, train_per_class):
+    args = ablate_args(corrupted_prefix)
+    args[args.index("--train-per-class") + 1] = train_per_class
+    rc, out, err = run(capsys, *args)
+    assert rc == 2 and "train_per_class" in err and out == ""
 
 
 def test_ablate_deterministic(corrupted_prefix, capsys):

@@ -198,6 +198,15 @@ def test_partition_cover_oracle(rng):
     assert sorted(np.concatenate(ds.per_class).tolist()) == list(range(30))
 
 
+def test_dataset_per_class_is_derived_from_labels():
+    # per_class is not a constructor field, so it cannot disagree with labels
+    with pytest.raises(TypeError, match="per_class"):
+        data.LabeledDataset(np.ones((2, 6)), np.array([1, 1, 1, 2, 2, 2]),
+                            per_class=[np.array([0, 3]), np.array([1])])
+    ds = data.LabeledDataset(np.ones((2, 6)), np.array([1, 2, 1, 2, 2, 1]))
+    assert [idx.tolist() for idx in ds.per_class] == [[0, 2, 5], [1, 3, 4]]
+
+
 def test_partition_empty_class():
     with pytest.raises(ValueError, match="class 2 is empty"):
         data.partition_by_class(np.ones((2, 2)), np.array([1, 3]))
@@ -248,6 +257,9 @@ def test_synthetic_param_errors():
         data.make_synthetic(2, 5, 1, 0.1, 0.0, 0)
     with pytest.raises(ValueError):
         data.make_synthetic(2, 5, 4, 0.1, 1.5, 0)
+    for noise_sigma in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            data.make_synthetic(2, 5, 4, noise_sigma, 0.0, 0)
 
 
 def test_synthetic_means_separated():
@@ -289,6 +301,13 @@ def test_split_too_large():
     ds = data.make_synthetic(2, 5, 4, 0.1, 0.0, seed=0)
     with pytest.raises(ValueError, match="train_per_class"):
         data.split(ds, 4, seed=0)
+
+
+@pytest.mark.parametrize("train_per_class", [0, -1])
+def test_split_rejects_nonpositive_train_per_class(train_per_class):
+    ds = data.make_synthetic(2, 5, 4, 0.1, 0.0, seed=0)
+    with pytest.raises(ValueError, match="train_per_class must be >= 1"):
+        data.split(ds, train_per_class, seed=0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,10 +15,10 @@ from dictpair import (
     train,
 )
 from dictpair import solver
-from dictpair.cli import SWEEP_SEED_BASE, _sweep_instance
+from dictpair.cli import PRESETS, SWEEP_SEED_BASE, _sweep_instance
 from dictpair.model import ClassState, init_state
 
-from conftest import final_states
+from conftest import CORRUPT_HP, STANDARD_HP, final_states
 
 
 # --- smoothed row norms ------------------------------------------------------
@@ -535,8 +535,37 @@ def test_train_self_check_mode(standard_split, standard_hp):
     assert history.tau_regularized == train_ds.n_classes * history.iterations_run
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("data", ["standard", "corrupt"])
+def test_train_self_check_presets(request, preset, data):
+    # on this data the analysis systems of ar, pie, scene15 and yaleb reach cond(A)
+    # of 1e11-1.2e12; one LU solve per system must still pass the 1e-8 residual check
+    train_ds, _ = request.getfixturevalue(f"{data}_split")
+    alpha, beta, lam = PRESETS[preset]
+    base = STANDARD_HP if data == "standard" else CORRUPT_HP
+    hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
+    history = train(train_ds, hp, self_check=True)[3]
+    assert history.iterations_run >= 1
+
+
+def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monkeypatch):
+    train_ds, _ = standard_split
+    st = init_state(train_ds, standard_hp)[0]
+    X_l = train_ds.class_matrix(1)
+    m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(A.shape) or solve(A, B))
+    P_l, _ = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
+    assert calls == [(X_l.shape[0],) * 2]
+    A, B, _ = solver.analysis_system(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
+    assert np.linalg.norm(P_l @ A - B) <= 1e-10 * np.linalg.norm(B)
+    calls.clear()
+    solver.update_D(X_l, st.S, st.v, standard_hp.tau)
+    assert calls == [(st.S.shape[0],) * 2]
+
+
 def test_train_self_check_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
-    # every solve off by 1e-3 relative leaves a residual near 1e-6 after one refinement step
+    # every solve off by 1e-3 relative leaves a residual near 1e-3 relative
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
     train_ds, _ = standard_split
