@@ -71,8 +71,16 @@ def block_diagonal_energy(
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """ASCII PGM (P2, maxval 255) heat map; values expected in [0, 1]."""
-    pixels = np.rint(255.0 * np.asarray(values, dtype=float)).astype(int)
+    """ASCII PGM (P2, maxval 255) heat map of values in [0, 1].
+
+    Raises ValueError, naming the first offending entry, for a non-finite
+    value or one outside [0, 1]; no file is written then."""
+    values = np.asarray(values, dtype=float)
+    bad = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ValueError(f"PGM value {values[idx]} at {idx} is not a finite value in [0, 1]")
+    pixels = np.rint(255.0 * values).astype(int)
     rows, cols = pixels.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n")

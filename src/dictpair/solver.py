@@ -36,11 +36,12 @@ zeroing); then it refreshes that class's three reweighting diagonals. The
 objectives take (ds, states, hp) and sum over the records. The loop stops when
 the model objective changes by less than tol between consecutive sweeps.
 
-Numerical guards: the analysis system A is checked by a Cholesky
-factorization A = L L', and tau*I is added to A only when the factorization
-fails or (min L_ii / max L_ii)^2 < 1/COND_GUARD; TrainHistory.tau_regularized
-counts those solves. A non-finite A, and a non-finite objective in train,
-raise NumericalError.
+Numerical guards: the analysis system A is factorized by Cholesky, A = L L',
+and P_l is solved by forward and back substitution on that factor. tau*I is
+added to A only when the factorization fails or
+(min L_ii / max L_ii)^2 < 1/COND_GUARD; that system is then solved by LU,
+and TrainHistory.tau_regularized counts those solves. A non-finite A, and a
+non-finite objective in train, raise NumericalError.
 """
 
 import copy
@@ -54,6 +55,9 @@ from .model import ClassState, CodingState, DictionaryPair, Hyperparams, WeightS
 # tau*I is added to the analysis system when (min L_ii / max L_ii)^2 of its
 # Cholesky factor falls below 1/COND_GUARD
 COND_GUARD = 1e12
+# rows per diagonal block in the substitutions on the analysis factor; 24-32
+# was fastest at n = 504 (one BLAS thread)
+SUBST_BLOCK = 32
 # |column sum| below which a synthesis atom falls back to the uniform column
 SUM_FLOOR = 1e-10
 
@@ -128,8 +132,10 @@ def update_reweights(
 
 
 def _solve_right(A: np.ndarray, B: np.ndarray, check: str | None = None) -> np.ndarray:
-    """Solve Y A = B with one LU factorization. With check set, the residual
-    is verified at 1e-8 relative; a NumericalError names the check."""
+    """Solve Y A = B with one LU factorization: the synthesis systems and the
+    tau-regularized analysis systems, which have no usable Cholesky factor.
+    With check set, the residual is verified at 1e-8 relative; a
+    NumericalError names the check."""
     Y = np.linalg.solve(A.T, B.T).T
     if check is not None:
         _check_solve_residual(Y, A, B, check)
@@ -142,19 +148,35 @@ def _check_solve_residual(Y, A, B, what: str) -> None:
         raise NumericalError(f"{what} solve residual {res:.3e} exceeds 1e-8 relative")
 
 
-def _needs_tau(A: np.ndarray) -> bool:
-    """True when A has no Cholesky factor L or (min L_ii / max L_ii)^2 is
-    below 1/COND_GUARD.
+def _cholesky_guard(A: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor L of A = L L', or None when A has none or
+    (min L_ii / max L_ii)^2 is below 1/COND_GUARD.
 
     The diagonal of the triangular L holds its eigenvalues, so
     (max L_ii / min L_ii)^2 is a lower bound on cond(A) = cond(L)^2: the test
     fires only on systems whose 2-norm condition number exceeds COND_GUARD,
     and costs one factorization instead of a full SVD."""
     try:
-        d = np.diag(np.linalg.cholesky(A))
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return True
-    return bool((d.min() / d.max()) ** 2 < 1.0 / COND_GUARD)
+        return None
+    d = np.diag(L)
+    return None if (d.min() / d.max()) ** 2 < 1.0 / COND_GUARD else L
+
+
+def _substitute(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve T Y = B for a triangular T with nonzero diagonal (lower or upper)
+    by blocked substitution, SUBST_BLOCK rows at a time: each diagonal block
+    is one small np.linalg.solve, the update from the rows already solved is
+    one matrix product."""
+    n = T.shape[0]
+    Y = np.empty(B.shape)
+    starts = range(0, n, SUBST_BLOCK)
+    for s in starts if lower else reversed(starts):
+        e = min(s + SUBST_BLOCK, n)
+        done = slice(0, s) if lower else slice(e, n)
+        Y[s:e] = np.linalg.solve(T[s:e, s:e], B[s:e] - T[s:e, done] @ Y[done])
+    return Y
 
 
 def analysis_system(
@@ -167,8 +189,9 @@ def analysis_system(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """System matrix, right-hand side and guard flag of the analysis update P_l A = B.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """System matrix, right-hand side and Cholesky factor of the analysis
+    update P_l A = B.
 
     In Gram form, with G = X X' over the whole dataset and Q = (I - W_l)(I - W_l)':
 
@@ -181,9 +204,10 @@ def analysis_system(
     B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with the replicated means
     M_l = m 1', Mbar_l = mbar 1', rewritten through Xbar_l Xbar_l' = G - X_l X_l'.
 
-    Guard: A is factorized by Cholesky; tau*I is added only when that fails or
-    (min L_ii / max L_ii)^2 < 1/COND_GUARD, and the returned flag says whether
-    it was. A non-finite A raises NumericalError.
+    Guard: A is factorized by Cholesky, A = L L', and (A, B, L) is returned.
+    When that fails or (min L_ii / max L_ii)^2 < 1/COND_GUARD, tau*I is added
+    to A instead and (A + tau I, B, None) is returned. A non-finite A raises
+    NumericalError.
     """
     n, N_l = X_l.shape
     E = np.eye(N_l) - W_l
@@ -195,10 +219,10 @@ def analysis_system(
     B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
     if not np.all(np.isfinite(A)):
         raise NumericalError("analysis system has non-finite entries")
-    regularized = _needs_tau(A)
-    if regularized:
+    L = _cholesky_guard(A)
+    if L is None:
         A[np.diag_indices(n)] += hp.tau
-    return A, B, regularized
+    return A, B, L
 
 
 def update_P(
@@ -215,16 +239,24 @@ def update_P(
 ) -> tuple[np.ndarray, bool]:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system.
 
-    Returns P_l and whether tau*I was added to A; m, mbar are the code means
-    of the P_l being replaced. self_check verifies the solve residual.
+    With the guard's factor A = L L', P_l' is solved by substitution on it:
+    L Z = B', then L' P_l' = Z. When tau*I was added instead, A + tau I is
+    solved by LU (_solve_right). Returns P_l and whether tau*I was added;
+    m, mbar are the code means of the P_l being replaced. self_check verifies
+    the solve residual.
     """
-    A, B, regularized = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
+    A, B, L = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
     try:
-        return _solve_right(A, B, "analysis" if self_check else None), regularized
+        if L is None:
+            return _solve_right(A, B, "analysis" if self_check else None), True
+        P_l = _substitute(L.T, _substitute(L, B.T, lower=True), lower=False).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"analysis system singular (tau-regularized: {'yes' if regularized else 'no'})"
+            f"analysis system singular (tau-regularized: {'yes' if L is None else 'no'})"
         ) from exc
+    if self_check:
+        _check_solve_residual(P_l, A, B, "analysis")
+    return P_l, False
 
 
 def update_S(

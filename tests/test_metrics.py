@@ -171,6 +171,14 @@ def test_write_pgm(tmp_path):
     assert lines[4].split() == ["255", "64"]
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, -0.25, np.nan, np.inf, -np.inf])
+def test_write_pgm_rejects_values_outside_unit_interval(tmp_path, bad):
+    p = tmp_path / "m.pgm"
+    with pytest.raises(ValueError, match=rf"PGM value {bad} at \(1, 0\)"):
+        metrics.write_pgm(p, np.array([[0.0, 0.5], [bad, 0.25]]))
+    assert not p.exists()
+
+
 def test_write_csv_matrix(tmp_path):
     p = tmp_path / "m.csv"
     M = np.array([[0.125, 1.0], [2.0, -3.5]])

@@ -147,6 +147,62 @@ def test_update_P_solve_residual(rng):
         assert np.linalg.norm(P @ A - B) < 1e-8 * np.linalg.norm(B)
 
 
+@pytest.mark.parametrize("n", [1, solver.SUBST_BLOCK - 1, solver.SUBST_BLOCK, solver.SUBST_BLOCK + 1, 504])
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("k", [1, 5])
+def test_substitute_matches_solve(rng, n, lower, k):
+    # a Cholesky factor of a well-conditioned SPD matrix, or its transpose
+    M = rng.standard_normal((n, 2 * n))
+    L = np.linalg.cholesky(M @ M.T / (2 * n) + np.eye(n))
+    T = L if lower else L.T
+    B = rng.standard_normal((n, k))
+    Y = solver._substitute(T, B, lower)
+    want = np.linalg.solve(T, B)
+    assert np.linalg.norm(Y - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n, sizes", [(5, (8, 6)), (70, (20, 60)), (2 * solver.SUBST_BLOCK, (10, 30, 40))])
+def test_update_P_matches_lu_reference(rng, n, sizes):
+    hp = Hyperparams(alpha=0.05, beta=0.05, lam=1e-3, atoms_per_class=3)
+    for _ in range(3):
+        ds = random_dataset(rng, sizes, n)
+        X = ds.class_matrix(1)
+        N = X.shape[1]
+        S = np.abs(rng.standard_normal((3, N)))
+        W = rng.standard_normal((N, N))
+        np.fill_diagonal(W, 0.0)
+        u = rng.uniform(0.5, 2.0, N)
+        h = rng.uniform(0.5, 2.0, n)
+        m, mbar = solver.compute_means(rng.standard_normal((3, n)), X, ds.sample_sum, ds.n_samples)
+        A, B, _ = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        P, regularized = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp, self_check=True)
+        want = np.linalg.solve(A.T, B.T).T
+        assert not regularized
+        assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_ratio_guard_on_positive_definite_system_takes_tau_and_lu(rng):
+    # one feature scaled by 1e-7 leaves A positive definite with cond(A) near 1e14:
+    # the Cholesky factor exists, but (min L_ii / max L_ii)^2 < 1/COND_GUARD
+    hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=2, max_iter=3, tol=1e-12)
+    X_all = rng.uniform(0.5, 1.5, (4, 24))
+    X_all[-1] *= 1e-7
+    ds = partition_by_class(X_all, np.repeat([1, 2], 12))
+    X = ds.class_matrix(1)
+    S = np.abs(rng.standard_normal((2, 12)))
+    u, h = rng.uniform(0.5, 2.0, 12), np.ones(4)
+    A0 = 4.0 * (X * u) @ X.T
+    np.linalg.cholesky(A0)
+    A, B, L = solver.analysis_system(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
+    assert L is None
+    np.testing.assert_allclose(A, A0 + hp.tau * np.eye(4), rtol=1e-14, atol=0)
+    P, regularized = solver.update_P(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
+    assert regularized
+    assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
+    history = train(ds, hp, mode="reduced", self_check=True)[3]
+    assert history.tau_regularized == ds.n_classes * history.iterations_run > 0
+
+
 def test_update_P_mean_independence_when_lam_zero(rng):
     hp = Hyperparams(alpha=0.1, beta=0.1, lam=0.0, atoms_per_class=2)
     X = rng.uniform(1.0, 2.0, (4, 5))
@@ -209,9 +265,9 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         h = rng.uniform(0.5, 2.0, n)
         P = rng.standard_normal((k, n))
         m, mbar = solver.compute_means(P, X, ds.sample_sum, ds.n_samples)
-        A, B, regularized = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        A, B, L = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
         A_ref, B_ref = explicit_complement_system(X, Xbar, S, W, u, h, P, hp)
-        assert not regularized
+        assert L is not None
         assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
         assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
         states.append(ClassState(rng.standard_normal((n, k)), P, S, W, h, u, np.ones(N)))
@@ -553,15 +609,21 @@ def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monke
     st = init_state(train_ds, standard_hp)[0]
     X_l = train_ds.class_matrix(1)
     m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
-    solve, calls = np.linalg.solve, []
-    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(A.shape) or solve(A, B))
+    solve, cholesky, calls, factors = np.linalg.solve, np.linalg.cholesky, [], []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(A.copy()) or solve(A, B))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factors.append(cholesky(A)) or factors[-1])
     P_l, _ = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
-    assert calls == [(X_l.shape[0],) * 2]
+    n = X_l.shape[0]
+    assert [L.shape for L in factors] == [(n, n)]
+    L, blocks = factors[0], range(0, n, solver.SUBST_BLOCK)
+    diagonal = [L[s:s + solver.SUBST_BLOCK, s:s + solver.SUBST_BLOCK] for s in blocks]
+    assert len(calls) == 2 * len(diagonal)
+    assert all(any(np.array_equal(T, D) or np.array_equal(T, D.T) for D in diagonal) for T in calls)
     A, B, _ = solver.analysis_system(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
     assert np.linalg.norm(P_l @ A - B) <= 1e-10 * np.linalg.norm(B)
     calls.clear()
     solver.update_D(X_l, st.S, st.v, standard_hp.tau)
-    assert calls == [(st.S.shape[0],) * 2]
+    assert [T.shape for T in calls] == [(st.S.shape[0],) * 2]
 
 
 def test_train_self_check_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
