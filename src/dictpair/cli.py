@@ -4,14 +4,17 @@ Commands: synth (write a synthetic dataset), train, eval, ablate (accuracy of
 the three single-term ablations against the full model), inspect (heat maps and
 reconstruction metrics), gradcheck (numerical oracle suite).
 
-Exit codes: 0 success, 1 oracle-check failure, 2 usage error, 3 numerical
-failure. Every command is deterministic given its flags.
+An unset hyperparameter flag takes its model.Hyperparams default; Hyperparams
+and solver.train (the mode rule) reject bad values with a ValueError.
+
+Exit codes: 0 success, 1 oracle-check failure, 2 usage error (any ValueError),
+3 numerical failure. Every command is deterministic given its flags.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -39,7 +42,6 @@ PRESETS = {
     "scene15": (5e-5, 5e-5, 5e-5),
     "eth80": (10.0, 1e-3, 0.5),
 }
-DEFAULT_PRESET = "yaleb"
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -49,21 +51,17 @@ EXIT_NUMERICAL = 3
 SWEEP_SEED_BASE = 366
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named alpha/beta/lambda triple (default: yaleb values)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--tau", type=float, default=1e-6)
-    p.add_argument("--atoms", type=int, default=5, help="atoms per class")
-    p.add_argument("--max-iter", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--atoms", dest="atoms_per_class", type=int, help="atoms per class")
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["full", "reduced", "frobenius"], default="full")
 
 
@@ -77,25 +75,16 @@ def _add_prep_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_hp(args) -> Hyperparams:
-    base = PRESETS[args.preset] if args.preset else PRESETS[DEFAULT_PRESET]
-    alpha, beta, lam = base
-    if args.mode in ("reduced", "frobenius"):
-        beta, lam = 0.0, 0.0
-    if args.alpha is not None:
-        alpha = args.alpha
-    if args.beta is not None:
-        beta = args.beta
-    if args.lam is not None:
-        lam = args.lam
-    if args.mode in ("reduced", "frobenius") and (beta != 0.0 or lam != 0.0):
-        raise UsageError(f"--mode {args.mode} requires beta = 0 and lambda = 0")
-    try:
-        return Hyperparams(
-            alpha=alpha, beta=beta, lam=lam, tau=args.tau, atoms_per_class=args.atoms,
-            max_iter=args.max_iter, tol=args.tol, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """Hyperparams from the --preset triple, then the beta = lam = 0 defaults
+    of a non-full --mode, then the flags that were set (each flag's dest is
+    its field name); every other field keeps its Hyperparams default."""
+    values = dict(zip(("alpha", "beta", "lam"), PRESETS[args.preset])) if args.preset else {}
+    if args.mode != "full":
+        values.update(beta=0.0, lam=0.0)
+    for f in fields(Hyperparams):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    return Hyperparams(**values)
 
 
 def _load_dataset(args) -> LabeledDataset:
@@ -129,10 +118,9 @@ def _print_config(args, hp: Hyperparams | None = None, extra: dict | None = None
         return
     items = {}
     if hp is not None:
-        items.update(
-            alpha=hp.alpha, beta=hp.beta, **{"lambda": hp.lam}, tau=hp.tau,
-            atoms=hp.atoms_per_class, max_iter=hp.max_iter, tol=hp.tol, seed=hp.seed,
-        )
+        # printed under the flag names where they differ from the field names
+        flag = {"lam": "lambda", "atoms_per_class": "atoms"}
+        items.update((flag.get(f.name, f.name), getattr(hp, f.name)) for f in fields(hp))
     if extra:
         items.update(extra)
     for key, val in items.items():
@@ -189,7 +177,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     hp = _resolve_hp(args)
     ds = _load_dataset(args)
-    split_seed = args.split_seed if args.split_seed is not None else args.seed
+    split_seed = args.split_seed if args.split_seed is not None else hp.seed
     train_ds, test_ds = split(ds, args.train_per_class, split_seed)
     _print_config(args, hp, extra={"train_per_class": args.train_per_class, "split_seed": split_seed})
     variants = [
@@ -198,11 +186,12 @@ def cmd_ablate(args) -> int:
         ("lambda0", replace(hp, lam=0.0)),
         ("full", hp),
     ]
-    print("variant,accuracy")
+    # every variant is trained before the table starts, so a failed run prints none of it
+    rows = []
     for name, hp_v in variants:
-        pair, _, _, _ = solver.train(train_ds, hp_v)
-        report = classify.evaluate(test_ds, pair)
-        print(f"{name},{report.accuracy:.6f}")
+        pair, _, _, _ = solver.train(train_ds, hp_v, mode=args.mode)
+        rows.append(f"{name},{classify.evaluate(test_ds, pair).accuracy:.6f}")
+    print("variant,accuracy", *rows, sep="\n")
     return 0
 
 
@@ -446,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (solver.NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:

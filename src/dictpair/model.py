@@ -19,6 +19,7 @@ Model file format (text, round-trip exact):
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +49,10 @@ class Hyperparams:
         for name in ("alpha", "beta", "lam", "tau", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("atoms_per_class", "max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.alpha < 0 or self.beta < 0 or self.lam < 0:
             raise ValueError("alpha, beta, lam must be >= 0")
         if self.tau <= 0:
@@ -58,6 +63,8 @@ class Hyperparams:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

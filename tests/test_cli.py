@@ -2,13 +2,23 @@
 cli.main so exit codes and output can be asserted directly."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dictpair import load_labels, load_matrix, load_model
+from dictpair import (
+    Hyperparams,
+    evaluate,
+    load_labels,
+    load_matrix,
+    load_model,
+    partition_by_class,
+    split,
+    train,
+)
 from dictpair import metrics
-from dictpair.cli import main
+from dictpair.cli import PRESETS, main
 
 
 def run(capsys, *argv):
@@ -154,6 +164,36 @@ def test_train_print_config(workdir, capsys):
     assert rc == 0
     keys = dict(line.split("=", 1) for line in out.strip().splitlines())
     assert keys["alpha"] == "0.3" and keys["lambda"] == "0.001" and keys["mode"] == "full"
+
+
+def test_train_print_config_defaults_are_hyperparams(workdir, capsys):
+    run(capsys, *synth_args(workdir / "d", per_class=6))
+    rc, out, _ = run(capsys, "train", "--data", f"{workdir}/d.mat", "--labels", f"{workdir}/d.labels",
+                     "--model-out", f"{workdir}/m.model", "--print-config")
+    assert rc == 0
+    hp = Hyperparams()
+    flag = {"lam": "lambda", "atoms_per_class": "atoms"}
+    want = [f"{flag.get(f.name, f.name)}={getattr(hp, f.name)}" for f in fields(hp)]
+    assert out.splitlines() == want + ["mode=full"]
+
+
+def test_default_preset_is_hyperparams_default():
+    # the --preset help text says the default is the yaleb values
+    assert PRESETS["yaleb"] == (Hyperparams.alpha, Hyperparams.beta, Hyperparams.lam)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "error: seed must be >= 0"),
+    (["--mode", "frobenius", "--lambda", "0.1"], "error: mode 'frobenius' requires beta = 0 and lam = 0"),
+], ids=["seed", "mode-rule"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_bad_hyperparameters_exit_2_before_any_output(workdir, capsys, command, flags, message):
+    run(capsys, *synth_args(workdir / "d"))
+    rc, out, err = run(capsys, command, "--data", f"{workdir}/d.mat", "--labels", f"{workdir}/d.labels",
+                       *flags,
+                       *(["--model-out", f"{workdir}/m.model"] if command == "train"
+                         else ["--train-per-class", "2", "--split-seed", "1"]))
+    assert rc == 2 and out == "" and message in err
 
 
 def test_train_self_check_flag(workdir, capsys):
@@ -339,6 +379,20 @@ def test_ablate_rejects_nonpositive_train_per_class(corrupted_prefix, capsys, tr
     args[args.index("--train-per-class") + 1] = train_per_class
     rc, out, err = run(capsys, *args)
     assert rc == 2 and "train_per_class" in err and out == ""
+
+
+def test_ablate_honours_mode(corrupted_prefix, capsys):
+    rc, out, _ = run(capsys, "ablate", "--data", f"{corrupted_prefix}.mat",
+                     "--labels", f"{corrupted_prefix}.labels", "--alpha", "1.0", "--atoms", "2",
+                     "--seed", "4", "--train-per-class", "15", "--split-seed", "7",
+                     "--mode", "frobenius")
+    assert rc == 0
+    rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+    ds = partition_by_class(load_matrix(f"{corrupted_prefix}.mat"), load_labels(f"{corrupted_prefix}.labels"))
+    train_ds, test_ds = split(ds, 15, 7)
+    hp = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, atoms_per_class=2, seed=4)
+    pair = train(train_ds, hp, mode="frobenius")[0]
+    assert rows["full"] == f"{evaluate(test_ds, pair).accuracy:.6f}"
 
 
 def test_ablate_deterministic(corrupted_prefix, capsys):

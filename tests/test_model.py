@@ -31,6 +31,18 @@ def test_hyperparam_validation():
         Hyperparams(tol=0.0)
     with pytest.raises(ValueError):
         Hyperparams(max_iter=0)
+    for kwargs, message in [
+        ({"max_iter": 2.5}, "max_iter must be an integer"),
+        ({"atoms_per_class": True}, "atoms_per_class must be an integer"),
+        ({"atoms_per_class": 2.0}, "atoms_per_class must be an integer"),
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Hyperparams(**kwargs)
+    # NumPy integers are integers
+    assert Hyperparams(atoms_per_class=np.int64(3), seed=np.int32(1)).atoms_per_class == 3
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
