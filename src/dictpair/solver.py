@@ -31,10 +31,19 @@ Gram matrix and the sample sum. One training iteration runs, for each record
 in order, sweep_class under the current diagonals: code means from the current
 P_l, analysis block P_l (n x n linear solve, see analysis_system), codes S_l
 (multiplicative rule), synthesis block D_l (ridge solve + column-sum
-normalization) and the reconstruction weights W_l (linear solve + diagonal
-zeroing); then it refreshes that class's three reweighting diagonals. The
-objectives take (ds, states, hp) and sum over the records. The loop stops when
-the model objective changes by less than tol between consecutive sweeps.
+normalization) and the reconstruction weights W_l (the exact minimizer of the
+weight term on diag(W_l) = 0, one N_l x N_l inverse; see update_W); then it
+refreshes that class's three reweighting diagonals. The objectives take
+(ds, states, hp) and sum over the records. The loop stops when the model
+objective changes by less than tol between consecutive sweeps.
+
+What a sweep decreases: surrogate_relaxed, under frozen diagonals. There a row
+of norm r with diagonal entry w = 1/(2 r0 + tau) (r0: its norm at the last
+refresh) counts 2 w r^2, which majorizes 2 (r - (tau/2) log(2r + tau)) up to a
+constant, with equality at r = r0. So sweeps whose steps do not raise the
+surrogate decrease 2 x (the smoothed l2,1 terms) + (the penalties). The P step
+(at lam = 0) and the W step minimize it over their block; the S and D steps
+are not exact block minimizers.
 
 Numerical guards: the analysis system A is factorized by Cholesky, A = L L',
 and P_l is solved by forward and back substitution on that factor. tau*I is
@@ -308,13 +317,15 @@ def update_D(
 
 
 def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
-    """Reconstruction-weight update: W_l = (G + I)^-1 G with zeroed diagonal,
-    G = X_l' X_l + X_l' P_l' P_l X_l. G + I is symmetric positive definite."""
+    """Reconstruction-weight update: the minimizer of weight_term(X_l, P_l, W)
+    on diag(W) = 0. With M = X_l' X_l + (P_l X_l)' P_l X_l + I and G = M - I,
+    stationarity off the diagonal gives W = M^-1 G - M^-1 diag(mu),
+    mu_j = (M^-1 G)_jj / (M^-1)_jj, which is I - M^-1 with each column divided
+    by its diagonal entry; that entry is x / x = 1, so diag(W) is exactly 0.0."""
     PX = P_l @ X_l
-    G = X_l.T @ X_l + PX.T @ PX
-    W_l = np.linalg.solve(G + np.eye(G.shape[0]), G)
-    np.fill_diagonal(W_l, 0.0)
-    return W_l
+    N_l = X_l.shape[1]
+    M_inv = np.linalg.inv(X_l.T @ X_l + PX.T @ PX + np.eye(N_l))
+    return np.eye(N_l) - M_inv / np.diag(M_inv)
 
 
 def sweep_class(
@@ -339,17 +350,25 @@ def _class_blocks(ds: LabeledDataset) -> list[np.ndarray]:
     return [ds.class_matrix(l) for l in range(1, ds.n_classes + 1)]
 
 
+def weight_term(X_l: np.ndarray, P_l: np.ndarray, W_l: np.ndarray) -> float:
+    """The locality term that beta weights:
+    ||X_l - X_l W_l||_F^2 + ||P_l X_l - P_l X_l W_l||_F^2 + ||W_l||_F^2."""
+    PX = P_l @ X_l
+    return (
+        np.linalg.norm(X_l - X_l @ W_l) ** 2
+        + np.linalg.norm(PX - PX @ W_l) ** 2
+        + np.linalg.norm(W_l) ** 2
+    )
+
+
 def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
     """The terms every objective shares: alpha * ||P_l Xbar_l||_F^2 (in Gram
-    form) and the beta (locality) and lam (code-discrimination) penalties."""
+    form) and the beta (locality, weight_term) and lam (code-discrimination)
+    penalties."""
     PX = P_l @ X_l
     total = hp.alpha * float(np.sum((P_l @ ds.gram - PX @ X_l.T) * P_l))
     if hp.beta:
-        total += hp.beta * (
-            np.linalg.norm(X_l - X_l @ W_l) ** 2
-            + np.linalg.norm(PX - PX @ W_l) ** 2
-            + np.linalg.norm(W_l) ** 2
-        )
+        total += hp.beta * weight_term(X_l, P_l, W_l)
     if hp.lam:
         N_l = X_l.shape[1]
         m, mbar = compute_means(P_l, X_l, ds.sample_sum, ds.n_samples)
@@ -383,8 +402,11 @@ def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparam
 
 def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with every row-sum norm replaced by its weighted
-    quadratic (trace) form under the records' diagonals; a sweep run with
-    frozen diagonals is expected not to increase this quantity."""
+    quadratic (trace) form under the records' diagonals: a row of norm r with
+    diagonal entry w contributes 2 w r^2 (see the module docstring for what
+    that majorizes). A sweep run with frozen diagonals is expected not to
+    increase this quantity; the P step at lam = 0 and the W step (exact on
+    diag(W_l) = 0) minimize it over their block."""
     total = 0.0
     for X_l, st in zip(_class_blocks(ds), states):
         R1 = X_l - st.D @ st.S

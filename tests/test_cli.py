@@ -196,6 +196,23 @@ def test_bad_hyperparameters_exit_2_before_any_output(workdir, capsys, command, 
     assert rc == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--classes", "2", "--dim", "3", "--per-class", "3", "--out-prefix", "x", "--seed", "-1"],
+    ["ablate", "--data", "d.mat", "--labels", "d.labels", "--train-per-class", "2", "--split-seed", "-1"],
+    ["train", "--data", "d.mat", "--labels", "d.labels", "--model-out", "m", "--project-seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_negative_seed_flag_exits_2_naming_the_flag(workdir, capsys, monkeypatch, argv):
+    # parsing fails before any file is read or written
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {argv[-2]}: must be >= 0, got -1" in captured.err
+    assert list(workdir.iterdir()) == []
+
+
 def test_train_self_check_flag(workdir, capsys):
     run(capsys, *synth_args(workdir / "d"))
     rc, _, _ = run(capsys, *train_args(workdir / "d", workdir / "m.model"), "--self-check")
@@ -395,6 +412,23 @@ def test_ablate_honours_mode(corrupted_prefix, capsys):
     assert rows["full"] == f"{evaluate(test_ds, pair).accuracy:.6f}"
 
 
+@pytest.mark.parametrize("mode, trainings", [("full", 4), ("frobenius", 2)])
+def test_ablate_trains_each_distinct_setting_once(corrupted_prefix, capsys, monkeypatch, mode, trainings):
+    # under a non-full mode beta = lam = 0, so beta0 and lambda0 equal full
+    from dictpair import solver as solver_mod
+
+    settings, real_train = [], solver_mod.train
+    monkeypatch.setattr(solver_mod, "train", lambda ds, hp, **kw: settings.append(hp) or real_train(ds, hp, **kw))
+    args = ablate_args(corrupted_prefix)
+    if mode != "full":
+        for flag in ("--beta", "--lambda"):
+            del args[args.index(flag):args.index(flag) + 2]
+        args += ["--mode", mode]
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0 and len(out.splitlines()) == 5
+    assert len(settings) == len(set(settings)) == trainings
+
+
 def test_ablate_deterministic(corrupted_prefix, capsys):
     rc1 = main(ablate_args(corrupted_prefix))
     out1 = capsys.readouterr().out
@@ -440,3 +474,21 @@ def test_gradcheck_detects_injected_sign_flip(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--seed", "0", "--inject-sign-flip")
     assert rc == 1
     assert "weights-stationarity: FAIL" in out
+
+
+def test_gradcheck_checks_the_shipped_weight_update(capsys, monkeypatch):
+    # the zeroed unconstrained minimizer, I - M^-1 with its diagonal set to 0,
+    # is not the minimizer on diag(W) = 0; both weight oracles must see that
+    from dictpair import solver as solver_mod
+
+    def zeroed_unconstrained(X_l, P_l):
+        PX = P_l @ X_l
+        N_l = X_l.shape[1]
+        W = np.eye(N_l) - np.linalg.inv(X_l.T @ X_l + PX.T @ PX + np.eye(N_l))
+        np.fill_diagonal(W, 0.0)
+        return W
+
+    monkeypatch.setattr(solver_mod, "update_W", zeroed_unconstrained)
+    rc, out, _ = run(capsys, "gradcheck", "--seed", "0")
+    assert rc == 1
+    assert "weights-stationarity: FAIL" in out and "weights-minimizer: FAIL" in out

@@ -15,7 +15,7 @@ from dictpair import (
     train,
 )
 from dictpair import solver
-from dictpair.cli import PRESETS, SWEEP_SEED_BASE, _sweep_instance
+from dictpair.cli import PRESETS, SWEEP_SEED_BASE, _minimize_weights_gd, _sweep_instance
 from dictpair.model import ClassState, init_state
 
 from conftest import CORRUPT_HP, STANDARD_HP, final_states
@@ -383,60 +383,23 @@ def test_update_W_zero_data():
     assert np.array_equal(W, np.zeros((4, 4)))
 
 
-def weights_objective(X, P, W):
-    PX = P @ X
-    return (
-        np.linalg.norm(X - X @ W) ** 2
-        + np.linalg.norm(PX - PX @ W) ** 2
-        + np.linalg.norm(W) ** 2
-    )
-
-
-def minimize_weights_bruteforce(X, P):
-    """Backtracking gradient descent to gradient norm 1e-10, written directly
-    from the objective; independent of the closed-form solve."""
-    PX = P @ X
-    N = X.shape[1]
-    W = np.zeros((N, N))
-    step = 1.0
-    for _ in range(50000):
-        grad = -2.0 * X.T @ (X - X @ W) - 2.0 * PX.T @ (PX - PX @ W) + 2.0 * W
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-10:
-            break
-        f0 = weights_objective(X, P, W)
-        while step > 1e-16:
-            if weights_objective(X, P, W - step * grad) <= f0 - 0.5 * step * gnorm**2:
-                break
-            step *= 0.5
-        W = W - step * grad
-        step *= 1.3
-    return W
-
-
 def test_update_W_matches_numerical_minimizer(rng):
+    # the exact minimizer on diag(W) = 0 against gradcheck's descent reference
     X = rng.uniform(0.5, 1.5, (4, 3))
     P = rng.standard_normal((2, 4))
-    W_brute = minimize_weights_bruteforce(X, P)
-    PX = P @ X
-    G = X.T @ X + PX.T @ PX
-    W_closed = np.linalg.solve(G + np.eye(3), G)
-    assert np.abs(W_brute - W_closed).max() < 1e-6
-    # the shipped update equals the closed form with a zeroed diagonal
     W = solver.update_W(X, P)
-    expected = W_closed.copy()
-    np.fill_diagonal(expected, 0.0)
-    np.testing.assert_allclose(W, expected, rtol=0, atol=1e-12)
+    assert np.all(np.diag(W) == 0.0)
+    assert np.abs(W - _minimize_weights_gd(X, P)).max() < 1e-6
 
 
 def test_update_W_stationarity_via_numeric_gradient(rng):
+    # stationary off the diagonal with diag(W) = 0: the constrained optimum of
+    # the convex weight term
     X = rng.uniform(0.5, 1.5, (4, 3))
     P = rng.standard_normal((2, 4))
-    PX = P @ X
-    G = X.T @ X + PX.T @ PX
-    W_star = np.linalg.solve(G + np.eye(3), G)
-    grad = solver.numeric_gradient(lambda W: weights_objective(X, P, W), W_star, 1e-5)
-    assert np.linalg.norm(grad) < 1e-5 * (1.0 + np.linalg.norm(W_star))
+    W = solver.update_W(X, P)
+    grad = solver.numeric_gradient(lambda V: solver.weight_term(X, P, V), W, 1e-5)
+    assert np.linalg.norm(grad[~np.eye(3, dtype=bool)]) < 1e-5 * (1.0 + np.linalg.norm(W))
 
 
 # --- objectives --------------------------------------------------------------
@@ -739,6 +702,39 @@ def test_reduced_objective_ignores_weights(standard_split):
 
 
 # --- frozen-diagonal sweep ---------------------------------------------------
+
+@pytest.mark.parametrize("sweeps", range(1, 6))
+def test_P_and_W_steps_never_raise_the_surrogate(corrupt_split, corrupt_hp, sweeps):
+    # after a few shipped sweeps D and P have signed entries; one more sweep,
+    # stepped through under frozen diagonals, must not let the P step (an exact
+    # block minimizer at lam = 0) or the W step raise the surrogate
+    train_ds, _ = corrupt_split
+    hp = dataclasses.replace(corrupt_hp, lam=0.0)
+    states = init_state(train_ds, hp)
+    for _ in range(sweeps):
+        for l, st in enumerate(states):
+            solver.sweep_class(train_ds, l, st, hp)
+            st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
+    rises = []
+
+    def rise(before):
+        after = surrogate_relaxed(train_ds, states, hp)
+        rises.append((after - before) / abs(before))
+
+    for l, st in enumerate(states):
+        X_l = train_ds.class_matrix(l + 1)
+        m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
+        before = surrogate_relaxed(train_ds, states, hp)
+        st.P, regularized = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
+        assert not regularized
+        rise(before)
+        st.S = solver.update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
+        st.D = solver.update_D(X_l, st.S, st.v, hp.tau)
+        before = surrogate_relaxed(train_ds, states, hp)
+        st.W = solver.update_W(X_l, st.P)
+        rise(before)
+    assert max(rises) <= 1e-10, rises
+
 
 def test_sweep_monotone_on_pinned_instances():
     worst = -np.inf
