@@ -247,11 +247,10 @@ def make_synthetic(
         means[supports[l], l] = v / np.linalg.norm(v)
     means *= 5.0 * noise_sigma + 1.0
 
-    blocks = []
     labels = np.repeat(np.arange(1, c + 1), per_class)
+    X = np.empty((n, c * per_class))
     for l in range(c):
-        blocks.append(means[:, [l]] + noise_sigma * rng.standard_normal((n, per_class)))
-    X = np.concatenate(blocks, axis=1)
+        X[:, l * per_class:(l + 1) * per_class] = means[:, [l]] + noise_sigma * rng.standard_normal((n, per_class))
 
     n_corrupt = int(round(corrupt_frac * X.size))
     if n_corrupt:

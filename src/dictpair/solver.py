@@ -27,15 +27,24 @@ Row-sum norms are handled by iterative reweighting: a row of norm r carries a
 weight 1/(2r + tau), which turns each ||.||_21 term into a weighted quadratic.
 Classes do not interact during training: class l's updates read only its own
 model.ClassState record (D_l, P_l, S_l, W_l and the diagonals h, u, v), the
-Gram matrix and the sample sum. One training iteration runs, for each record
-in order, sweep_class under the current diagonals: code means from the current
-P_l, analysis block P_l (n x n linear solve, see analysis_system), codes S_l
-(multiplicative rule), synthesis block D_l (ridge solve + column-sum
-normalization) and the reconstruction weights W_l (the exact minimizer of the
-weight term on diag(W_l) = 0, one N_l x N_l inverse; see update_W); then it
-refreshes that class's three reweighting diagonals. The objectives take
-(ds, states, hp) and sum over the records. The loop stops when the model
-objective changes by less than tol between consecutive sweeps.
+Gram matrix and the sample sum. One training iteration maps one class step
+(_class_step) over the records. The step runs sweep_class under the current
+diagonals: code means from the current P_l, analysis block P_l (n x n linear
+solve, see analysis_system), codes S_l (multiplicative rule), synthesis block
+D_l (ridge solve + column-sum normalization) and the reconstruction weights
+W_l (the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
+inverse; see update_W). It then refreshes that class's three reweighting
+diagonals and returns the class's squared block changes and its terms of both
+objectives (_class_terms, the one definition that objective_model and
+objective_relaxed also sum). The loop stops when the model objective changes
+by less than tol between consecutive sweeps.
+
+Class parallelism: the calling thread and _worker_count() - 1 helper threads
+run the class steps, each taking the lowest class not yet taken; the count is
+min(c, cpus // BLAS threads), so with BLAS unpinned it is 1 and no thread is
+started. train adds the returned figures up in class order, one term at a
+time, as the serial loop does, so every block and every TrainHistory field is
+bitwise the same for any worker count. No helper outlives an iteration.
 
 What a sweep decreases: surrogate_relaxed, under frozen diagonals. There a row
 of norm r with diagonal entry w = 1/(2 r0 + tau) (r0: its norm at the last
@@ -53,7 +62,9 @@ and TrainHistory.tau_regularized counts those solves. A non-finite A, and a
 non-finite objective in train, raise NumericalError.
 """
 
-import copy
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +234,9 @@ def analysis_system(
     Q = E @ E.T
     C = hp.beta * (Q + Q.T)
     C[np.diag_indices(N_l)] += 4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * hp.alpha)
-    A = 2.0 * hp.alpha * G + (X_l @ C) @ X_l.T
+    # one n x n temporary: (X_l C) X_l' is added into 2 alpha G in place
+    A = np.multiply(G, 2.0 * hp.alpha)
+    A += (X_l @ C) @ X_l.T
     A[np.diag_indices(n)] += 4.0 * hp.alpha * h
     B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
     if not np.all(np.isfinite(A)):
@@ -329,13 +342,21 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
 
 
 def sweep_class(
-    ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str = "full", self_check: bool = False
+    ds: LabeledDataset,
+    l: int,
+    st: ClassState,
+    hp: Hyperparams,
+    mode: str = "full",
+    self_check: bool = False,
+    X_l: np.ndarray | None = None,
 ) -> bool:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
     in mode "full" only, st.W of class l (0-based) to their updates under the
     diagonals st.h, st.u, st.v, which are not refreshed; see train for mode and
-    self_check. Returns whether tau*I was added to the analysis system."""
-    X_l = ds.class_matrix(l + 1)
+    self_check. X_l is the class block ds.class_matrix(l + 1), fetched here
+    when not given. Returns whether tau*I was added to the analysis system."""
+    if X_l is None:
+        X_l = ds.class_matrix(l + 1)
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
     st.P, regularized = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, self_check)
     v = np.ones_like(st.v) if mode == "frobenius" else st.v
@@ -344,10 +365,6 @@ def sweep_class(
     if mode == "full":
         st.W = update_W(X_l, st.P)
     return regularized
-
-
-def _class_blocks(ds: LabeledDataset) -> list[np.ndarray]:
-    return [ds.class_matrix(l) for l in range(1, ds.n_classes + 1)]
 
 
 def weight_term(X_l: np.ndarray, P_l: np.ndarray, W_l: np.ndarray) -> float:
@@ -378,26 +395,35 @@ def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
     return total
 
 
+def _class_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams):
+    """Class l's terms of the model objective and of the relaxed objective,
+    each tuple in the order its objective adds them up; the sparsity term and
+    the penalties are computed once and shared by both."""
+    shared = (hp.alpha * row_norm_sum(st.P.T), _penalties(ds, X_l, st.P, st.W, hp))
+    model = (row_norm_sum(X_l.T - X_l.T @ st.P.T @ st.D.T),) + shared
+    relaxed = (row_norm_sum(X_l.T - st.S.T @ st.D.T), row_norm_sum(st.S.T - X_l.T @ st.P.T)) + shared
+    return model, relaxed
+
+
+def _add_up(terms) -> float:
+    """Sum of a sequence of per-class term tuples, added one term at a time
+    in class order, so every caller gets the same rounding."""
+    total = 0.0
+    for class_terms in terms:
+        for term in class_terms:
+            total += term
+    return total
+
+
 def objective_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
-    total = 0.0
-    for X_l, st in zip(_class_blocks(ds), states):
-        total += row_norm_sum(X_l.T - st.S.T @ st.D.T)
-        total += row_norm_sum(st.S.T - X_l.T @ st.P.T)
-        total += hp.alpha * row_norm_sum(st.P.T)
-        total += _penalties(ds, X_l, st.P, st.W, hp)
-    return total
+    return _add_up(_class_terms(ds, ds.class_matrix(l + 1), st, hp)[1] for l, st in enumerate(states))
 
 
 def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Model objective with codes eliminated (reconstruction through P then D);
-    the records' S and diagonals are not read."""
-    total = 0.0
-    for X_l, st in zip(_class_blocks(ds), states):
-        total += row_norm_sum(X_l.T - X_l.T @ st.P.T @ st.D.T)
-        total += hp.alpha * row_norm_sum(st.P.T)
-        total += _penalties(ds, X_l, st.P, st.W, hp)
-    return total
+    the records' S and diagonals do not enter it."""
+    return _add_up(_class_terms(ds, ds.class_matrix(l + 1), st, hp)[0] for l, st in enumerate(states))
 
 
 def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
@@ -408,7 +434,8 @@ def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperpar
     increase this quantity; the P step at lam = 0 and the W step (exact on
     diag(W_l) = 0) minimize it over their block."""
     total = 0.0
-    for X_l, st in zip(_class_blocks(ds), states):
+    for l, st in enumerate(states):
+        X_l = ds.class_matrix(l + 1)
         R1 = X_l - st.D @ st.S
         R2 = st.S - st.P @ X_l
         total += 2.0 * float(np.sum((R1 * R1) * st.v))
@@ -434,18 +461,87 @@ def numeric_gradient(f, M: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def _assembled_delta(old: list[ClassState], new: list[ClassState], name: str) -> float:
-    """Frobenius norm of the change of block `name` over all classes; each
-    difference is summed in C order, whatever the memory order of the blocks."""
-    return float(np.sqrt(sum(
-        np.linalg.norm((getattr(a, name) - getattr(b, name)).ravel()) ** 2 for a, b in zip(old, new)
-    )))
-
-
 def _finite(value: float, what: str) -> float:
     if not np.isfinite(value):
         raise NumericalError(f"{what} is not finite ({value})")
     return value
+
+
+def _worker_count(c: int) -> int:
+    """Threads that sweep the classes in train: min(c, cpus // blas_threads),
+    at least 1. cpus is the CPUs this process may run on; blas_threads is the
+    first positive value of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+    MKL_NUM_THREADS, or else cpus, so unpinned BLAS gets 1 worker and class
+    threads never compete with BLAS threads for the cores."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return min(c, max(1, cpus // blas_threads))
+
+
+def _map_classes(step, c: int, workers: int) -> list:
+    """[step(l) for l in range(c)], run by the calling thread and workers - 1
+    helper threads, each taking the lowest class not yet taken. Once a step
+    raises, no further class is taken; every helper is joined before this
+    returns or raises, and the error of the lowest failed class is raised, as
+    the serial loop would have raised it (the classes below it were all taken,
+    so they all ran)."""
+    if workers <= 1:
+        return [step(l) for l in range(c)]
+    todo, results, failed, stop = queue.SimpleQueue(), [None] * c, {}, threading.Event()
+    for l in range(c):
+        todo.put(l)
+
+    def work():
+        while not stop.is_set():
+            try:
+                l = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[l] = step(l)
+            except Exception as exc:
+                failed[l] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work, name=f"dictpair-class-{i}") for i in range(1, workers)]
+    try:
+        for t in helpers:
+            t.start()
+        work()
+    finally:
+        stop.set()
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
+def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str, self_check: bool):
+    """One iteration of class l on its record: sweep_class, update_reweights,
+    then the squared changes of P, S, D, W and the class's objective terms
+    (see _class_terms). Returns (tau*I added, squared changes, terms)."""
+    X_l = ds.class_matrix(l + 1)
+    old = (st.P, st.S, st.D, st.W)
+    regularized = sweep_class(ds, l, st, hp, mode, self_check, X_l=X_l)
+    st.h, st.u, st.v = update_reweights(X_l, st.D, st.P, st.S, hp.tau)
+    # each difference is taken in C order, whatever the memory order of the blocks
+    squared = tuple(
+        np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
+    )
+    return regularized, squared, _class_terms(ds, X_l, st, hp)
 
 
 def train(
@@ -455,9 +551,10 @@ def train(
     self_check: bool = False,
 ) -> tuple[DictionaryPair, CodingState, WeightState, TrainHistory]:
     """Run the alternating-minimization loop from init_state: each iteration
-    runs sweep_class and then update_reweights on every class's record in order.
-    Returns the final D_l, P_l as a DictionaryPair, the S_l and W_l, and the
-    history.
+    runs sweep_class and then update_reweights on every class's record, the
+    classes spread over _worker_count threads (see the module docstring), with
+    results bitwise independent of that count. Returns the final D_l, P_l as
+    a DictionaryPair, the S_l and W_l, and the history.
 
     mode "full" runs every update; "reduced" requires beta = lam = 0 and skips
     the W updates (they no longer enter the objective); "frobenius" is reduced
@@ -474,19 +571,19 @@ def train(
 
     states = init_state(ds, hp)
     history = TrainHistory()
+    # cached_property takes no lock: both caches are filled before any helper starts
+    _ = ds.gram, ds.sample_sum
     prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
+    workers = _worker_count(len(states))
     for it in range(1, hp.max_iter + 1):
-        # shallow copies suffice: the updates rebind record attributes to new arrays
-        old = [copy.copy(st) for st in states]
-        for l, st in enumerate(states):
-            history.tau_regularized += sweep_class(ds, l, st, hp, mode, self_check)
-            st.h, st.u, st.v = update_reweights(ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
-        obj = _finite(objective_model(ds, states, hp), f"model objective at iteration {it}")
-        relaxed = objective_relaxed(ds, states, hp)
+        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode, self_check), len(states), workers)
+        history.tau_regularized += sum(regularized for regularized, _, _ in steps)
+        obj = _finite(_add_up(model for _, _, (model, _) in steps), f"model objective at iteration {it}")
+        relaxed = _add_up(relaxed for _, _, (_, relaxed) in steps)
         history.objective_model.append(obj)
         history.objective_relaxed.append(_finite(relaxed, f"relaxed objective at iteration {it}"))
-        for name in "PSDW":
-            getattr(history, f"delta_{name}").append(_assembled_delta(old, states, name))
+        for i, name in enumerate("PSDW"):
+            getattr(history, f"delta_{name}").append(float(np.sqrt(sum(squared[i] for _, squared, _ in steps))))
         history.iterations_run += 1
         if abs(obj - prev_obj) < hp.tol:
             history.converged = True

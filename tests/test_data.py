@@ -240,6 +240,36 @@ def test_synthetic_determinism():
     assert np.array_equal(a.X, b.X) and np.array_equal(a.labels, b.labels)
 
 
+def concatenated_synthetic(c, n, per_class, noise_sigma, corrupt_frac, seed):
+    """make_synthetic as a concatenation of per-class blocks, with the same
+    random draws in the same order."""
+    rng = np.random.default_rng(seed)
+    means = np.zeros((n, c))
+    supports = np.array_split(rng.permutation(n), c)
+    for l in range(c):
+        v = np.abs(rng.standard_normal(supports[l].size)) + 0.1
+        means[supports[l], l] = v / np.linalg.norm(v)
+    means *= 5.0 * noise_sigma + 1.0
+    X = np.concatenate(
+        [means[:, [l]] + noise_sigma * rng.standard_normal((n, per_class)) for l in range(c)], axis=1
+    )
+    n_corrupt = int(round(corrupt_frac * X.size))
+    if n_corrupt:
+        idx = rng.choice(X.size, size=n_corrupt, replace=False)
+        X.flat[idx] = rng.uniform(-3.0, 3.0, size=n_corrupt)
+    return X
+
+
+@pytest.mark.parametrize("shape", [(3, 20, 25, 0.1, 7), (38, 504, 4, 0.05, 1), (2, 5, 3, 0.0, 3)])
+@pytest.mark.parametrize("corrupt_frac", [0.0, 0.1])
+def test_synthetic_matches_concatenated_blocks(shape, corrupt_frac):
+    c, n, per_class, noise_sigma, seed = shape
+    ds = data.make_synthetic(c, n, per_class, noise_sigma, corrupt_frac, seed)
+    want = concatenated_synthetic(c, n, per_class, noise_sigma, corrupt_frac, seed)
+    assert ds.X.shape == want.shape and ds.X.tobytes() == want.tobytes()
+    assert ds.labels.tolist() == np.repeat(np.arange(1, c + 1), per_class).tolist()
+
+
 def test_synthetic_corrupt_count():
     clean = data.make_synthetic(2, 10, 50, 0.1, 0.0, seed=21)
     dirty = data.make_synthetic(2, 10, 50, 0.1, 0.1, seed=21)

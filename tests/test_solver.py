@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -614,7 +618,7 @@ def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_
         hp = dataclasses.replace(hp, beta=0.0, lam=0.0)
     pair, codes, weights, history = train(train_ds, hp, mode=mode)
     states = init_state(train_ds, hp)
-    # explicit copies, independent of train's by-reference snapshot
+    # explicit copies, independent of the old blocks train's class step keeps
     old = {name: [getattr(st, name).copy() for st in states] for name in "PSDW"}
     for l, st in enumerate(states):
         solver.sweep_class(train_ds, l, st, hp, mode)
@@ -630,8 +634,9 @@ def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_
 
 @pytest.mark.parametrize("mode", ["full", "reduced", "frobenius"])
 def test_sweep_never_writes_into_state_arrays(standard_split, standard_hp, mode):
-    # train snapshots the records by shallow copy, which holds only while every
-    # update returns a new array; a write into a read-only array raises
+    # train's class step keeps the replaced blocks by reference to take its
+    # deltas, which holds only while every update returns a new array; a write
+    # into a read-only array raises
     train_ds, _ = standard_split
     hp = standard_hp if mode == "full" else dataclasses.replace(standard_hp, beta=0.0, lam=0.0)
     states = init_state(train_ds, hp)
@@ -642,6 +647,16 @@ def test_sweep_never_writes_into_state_arrays(standard_split, standard_hp, mode)
         for l, st in enumerate(states):
             solver.sweep_class(train_ds, l, st, hp, mode, self_check=True)
             st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
+
+
+def test_train_fetches_each_class_block_once_per_iteration(standard_split, standard_hp, monkeypatch):
+    train_ds, _ = standard_split
+    class_matrix, calls = LabeledDataset.class_matrix, []
+    monkeypatch.setattr(LabeledDataset, "class_matrix", lambda ds, l: calls.append(l) or class_matrix(ds, l))
+    history = train(train_ds, dataclasses.replace(standard_hp, max_iter=2, tol=1e-300))[3]
+    assert history.iterations_run == 2
+    c = train_ds.n_classes
+    assert sorted(calls) == sorted(list(range(1, c + 1)) * 3)
 
 
 def test_train_counts_no_guard_on_standard_config(trained_standard):
@@ -746,3 +761,124 @@ def test_sweep_monotone_on_pinned_instances():
         after = surrogate_relaxed(ds, states, hp)
         worst = max(worst, (after - before) / abs(before))
     assert worst <= 1e-8
+
+
+# --- class-parallel training -------------------------------------------------
+
+def train_at(monkeypatch, workers, *args, **kwargs):
+    """train with the class-worker count forced to min(c, workers)."""
+    monkeypatch.setattr(solver, "_worker_count", lambda c: min(c, workers))
+    return train(*args, **kwargs)
+
+
+def same_training(a, b) -> bool:
+    """Every block byte-equal and every TrainHistory field equal."""
+    (pa, ca, wa, ha), (pb, cb, wb, hb) = a, b
+    blocks = [(pa.D, pb.D), (pa.P, pb.P), (ca.S, cb.S), (wa.W, wb.W)]
+    return dataclasses.asdict(ha) == dataclasses.asdict(hb) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for xs, ys in blocks for x, y in zip(xs, ys, strict=True)
+    )
+
+
+@pytest.mark.parametrize("setting", sorted(PRESETS) + ["reduced", "frobenius"])
+@pytest.mark.parametrize("data", ["standard", "corrupt"])
+def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting, data):
+    train_ds, _ = request.getfixturevalue(f"{data}_split")
+    base = STANDARD_HP if data == "standard" else CORRUPT_HP
+    alpha, beta, lam = PRESETS.get(setting, (base["alpha"], 0.0, 0.0))
+    hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
+    mode = setting if setting in ("reduced", "frobenius") else "full"
+    threads = threading.active_count()
+    serial = train_at(monkeypatch, 1, train_ds, hp, mode=mode)
+    parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
+    assert threading.active_count() == threads
+    assert same_training(serial, parallel)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_train_raises_the_error_of_the_lowest_failing_class(monkeypatch, workers):
+    # class 2 fails after class 3 has failed, as seen by the clock; train
+    # still raises class 2's error, as the serial loop does
+    ds = make_synthetic(4, 12, 10, 0.1, 0.0, 5)
+    hp = Hyperparams(alpha=1.0, beta=0.01, lam=1e-3, atoms_per_class=2, seed=3)
+    update_P = solver.update_P
+
+    def failing(X_l, *args):
+        label = next(l for l in range(1, 5) if np.array_equal(X_l, ds.class_matrix(l)))
+        if label == 2:
+            time.sleep(0.05)
+        if label in (2, 3):
+            raise solver.NumericalError(f"class {label} failed")
+        return update_P(X_l, *args)
+
+    monkeypatch.setattr(solver, "update_P", failing)
+    threads = threading.active_count()
+    with pytest.raises(solver.NumericalError, match="^class 2 failed$"):
+        train_at(monkeypatch, workers, ds, hp)
+    assert threading.active_count() == threads
+
+
+def test_map_classes_runs_each_class_once_under_contention():
+    # more workers than cores, switching threads every microsecond: a class
+    # taken twice or lost shows in the calls and the results
+    calls = []
+
+    def step(l):
+        calls.append(l)
+        return l * l
+
+    out, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.append(solver._map_classes(step, 2000, 8)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [[l * l for l in range(2000)]]
+    assert sorted(calls) == list(range(2000))
+
+
+def test_train_at_one_worker_starts_no_thread(standard_split, standard_hp, monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    train_ds, _ = standard_split
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    train_at(monkeypatch, 1, train_ds, dataclasses.replace(standard_hp, max_iter=2))
+
+
+def test_train_caches_gram_and_sample_sum_before_helpers_start(monkeypatch):
+    # lam = 0: the initial objective reads the Gram matrix but not the sample sum
+    ds = make_synthetic(3, 12, 10, 0.1, 0.0, 5)
+    hp = Hyperparams(alpha=1.0, beta=0.01, lam=0.0, atoms_per_class=2, seed=3, max_iter=2)
+    start, cached = threading.Thread.start, []
+    monkeypatch.setattr(threading.Thread, "start", lambda t: cached.append(vars(ds).keys() >= {"gram", "sample_sum"}) or start(t))
+    train_at(monkeypatch, 3, ds, hp)
+    assert cached == [True] * 4
+
+
+@pytest.mark.parametrize(
+    "env, cpus, c, want",
+    [
+        ({}, 4, 38, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 38, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+        ({"OMP_NUM_THREADS": "2"}, 4, 38, 2),
+        ({"MKL_NUM_THREADS": "1"}, 2, 38, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"}, 4, 38, 2),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4, 38, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 4, 38, 1),
+    ],
+)
+def test_worker_count_divides_the_cpus_by_the_blas_threads(monkeypatch, env, cpus, c, want):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert solver._worker_count(c) == want
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert solver._worker_count(c) == want
