@@ -35,16 +35,18 @@ D_l (ridge solve + column-sum normalization) and the reconstruction weights
 W_l (the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
 inverse; see update_W). It then refreshes that class's three reweighting
 diagonals and returns the class's squared block changes and its terms of both
-objectives (_class_terms, the one definition that objective_model and
-objective_relaxed also sum). The loop stops when the model objective changes
-by less than tol between consecutive sweeps.
+objectives: the reconstruction terms of each (_model_fit, _relaxed_fit) and,
+computed once, the terms they share (_shared_terms). objective_model and
+objective_relaxed sum the same functions. The loop stops when the model
+objective changes by less than tol between consecutive sweeps.
 
 Class parallelism: the calling thread and _worker_count() - 1 helper threads
 run the class steps, each taking the lowest class not yet taken; the count is
-min(c, cpus // BLAS threads), so with BLAS unpinned it is 1 and no thread is
-started. train adds the returned figures up in class order, one term at a
-time, as the serial loop does, so every block and every TrainHistory field is
-bitwise the same for any worker count. No helper outlives an iteration.
+min(c, cpus // BLAS threads) where NumPy links OpenBLAS and 1 otherwise, so
+with BLAS unpinned, or of unknown kind, no thread is started. train adds the
+returned figures up in class order, one term at a time, as the serial loop
+does, so every block and every TrainHistory field is bitwise the same for any
+worker count. No helper outlives an iteration.
 
 What a sweep decreases: surrogate_relaxed, under frozen diagonals. There a row
 of norm r with diagonal entry w = 1/(2 r0 + tau) (r0: its norm at the last
@@ -395,14 +397,20 @@ def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
     return total
 
 
-def _class_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams):
-    """Class l's terms of the model objective and of the relaxed objective,
-    each tuple in the order its objective adds them up; the sparsity term and
-    the penalties are computed once and shared by both."""
-    shared = (hp.alpha * row_norm_sum(st.P.T), _penalties(ds, X_l, st.P, st.W, hp))
-    model = (row_norm_sum(X_l.T - X_l.T @ st.P.T @ st.D.T),) + shared
-    relaxed = (row_norm_sum(X_l.T - st.S.T @ st.D.T), row_norm_sum(st.S.T - X_l.T @ st.P.T)) + shared
-    return model, relaxed
+def _shared_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams) -> tuple:
+    """Class l's terms that the model and relaxed objectives share, in the
+    order both add them up: alpha * ||P_l'||_21 and the penalties."""
+    return (hp.alpha * row_norm_sum(st.P.T), _penalties(ds, X_l, st.P, st.W, hp))
+
+
+def _model_fit(X_l: np.ndarray, st: ClassState) -> tuple:
+    """Class l's reconstruction term of the model objective (through P then D)."""
+    return (row_norm_sum(X_l.T - X_l.T @ st.P.T @ st.D.T),)
+
+
+def _relaxed_fit(X_l: np.ndarray, st: ClassState) -> tuple:
+    """Class l's two fit terms of the relaxed objective (synthesis, then analysis)."""
+    return (row_norm_sum(X_l.T - st.S.T @ st.D.T), row_norm_sum(st.S.T - X_l.T @ st.P.T))
 
 
 def _add_up(terms) -> float:
@@ -417,13 +425,21 @@ def _add_up(terms) -> float:
 
 def objective_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
-    return _add_up(_class_terms(ds, ds.class_matrix(l + 1), st, hp)[1] for l, st in enumerate(states))
+    terms = []
+    for l, st in enumerate(states):
+        X_l = ds.class_matrix(l + 1)
+        terms.append(_relaxed_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
+    return _add_up(terms)
 
 
 def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Model objective with codes eliminated (reconstruction through P then D);
-    the records' S and diagonals do not enter it."""
-    return _add_up(_class_terms(ds, ds.class_matrix(l + 1), st, hp)[0] for l, st in enumerate(states))
+    the records' S and diagonals are not read."""
+    terms = []
+    for l, st in enumerate(states):
+        X_l = ds.class_matrix(l + 1)
+        terms.append(_model_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
+    return _add_up(terms)
 
 
 def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
@@ -467,18 +483,31 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _linked_blas() -> str:
+    """Name of the BLAS NumPy was built against, in lower case, or "" where
+    this NumPy does not report it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (TypeError, KeyError, AttributeError):
+        return ""
+
+
 def _worker_count(c: int) -> int:
     """Threads that sweep the classes in train: min(c, cpus // blas_threads),
-    at least 1. cpus is the CPUs this process may run on; blas_threads is the
-    first positive value of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-    MKL_NUM_THREADS, or else cpus, so unpinned BLAS gets 1 worker and class
-    threads never compete with BLAS threads for the cores."""
+    at least 1. cpus is the CPUs this process may run on. blas_threads is read
+    only where NumPy links OpenBLAS: the first positive value of the variables
+    OpenBLAS itself honours, in its order (OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS, OMP_NUM_THREADS), or else cpus. Any other BLAS, whose
+    thread count cannot be told here, gets 1 worker, as does unpinned
+    OpenBLAS, so class threads never compete with BLAS threads for the cores."""
+    if "openblas" not in _linked_blas():
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
     blas_threads = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             value = int(os.environ.get(var, ""))
         except ValueError:
@@ -495,9 +524,8 @@ def _map_classes(step, c: int, workers: int) -> list:
     raises, no further class is taken; every helper is joined before this
     returns or raises, and the error of the lowest failed class is raised, as
     the serial loop would have raised it (the classes below it were all taken,
-    so they all ran)."""
-    if workers <= 1:
-        return [step(l) for l in range(c)]
+    so they all ran). At 1 worker no thread is started and the calling thread
+    runs the classes in order."""
     todo, results, failed, stop = queue.SimpleQueue(), [None] * c, {}, threading.Event()
     for l in range(c):
         todo.put(l)
@@ -532,7 +560,8 @@ def _map_classes(step, c: int, workers: int) -> list:
 def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str, self_check: bool):
     """One iteration of class l on its record: sweep_class, update_reweights,
     then the squared changes of P, S, D, W and the class's objective terms
-    (see _class_terms). Returns (tau*I added, squared changes, terms)."""
+    (model, relaxed), each tuple in the order its objective adds them up.
+    Returns (tau*I added, squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
     regularized = sweep_class(ds, l, st, hp, mode, self_check, X_l=X_l)
@@ -541,7 +570,8 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
     squared = tuple(
         np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
     )
-    return regularized, squared, _class_terms(ds, X_l, st, hp)
+    shared = _shared_terms(ds, X_l, st, hp)
+    return regularized, squared, (_model_fit(X_l, st) + shared, _relaxed_fit(X_l, st) + shared)
 
 
 def train(

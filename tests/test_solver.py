@@ -859,6 +859,26 @@ def test_train_caches_gram_and_sample_sum_before_helpers_start(monkeypatch):
     assert cached == [True] * 4
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_count_under(monkeypatch, blas, env, cpus, c):
+    """_worker_count(c) with NumPy reporting BLAS blas, only the variables in
+    env set, and cpus CPUs, both as sched_getaffinity and as cpu_count give
+    them; the two must agree."""
+    monkeypatch.setattr(solver, "_linked_blas", lambda: blas)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    by_affinity = solver._worker_count(c)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert solver._worker_count(c) == by_affinity
+    return by_affinity
+
+
 @pytest.mark.parametrize(
     "env, cpus, c, want",
     [
@@ -866,19 +886,25 @@ def test_train_caches_gram_and_sample_sum_before_helpers_start(monkeypatch):
         ({"OPENBLAS_NUM_THREADS": "1"}, 4, 38, 4),
         ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
         ({"OMP_NUM_THREADS": "2"}, 4, 38, 2),
-        ({"MKL_NUM_THREADS": "1"}, 2, 38, 2),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"}, 4, 38, 2),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 38, 2),
+        # OpenBLAS ignores MKL's variable, so it still runs at full width
+        ({"MKL_NUM_THREADS": "1"}, 2, 38, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 38, 2),
         ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4, 38, 1),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 38, 1),
         ({"OPENBLAS_NUM_THREADS": "8"}, 4, 38, 1),
     ],
 )
-def test_worker_count_divides_the_cpus_by_the_blas_threads(monkeypatch, env, cpus, c, want):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert solver._worker_count(c) == want
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert solver._worker_count(c) == want
+def test_worker_count_divides_the_cpus_by_the_openblas_threads(monkeypatch, env, cpus, c, want):
+    assert worker_count_under(monkeypatch, "scipy-openblas", env, cpus, c) == want
+
+
+@pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
+def test_worker_count_is_1_where_the_blas_threads_cannot_be_told(monkeypatch, blas):
+    env = {var: "1" for var in BLAS_THREAD_VARS}
+    assert worker_count_under(monkeypatch, blas, env, 4, 38) == 1
+
+
+def test_linked_blas_is_empty_where_numpy_does_not_report_it(monkeypatch):
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert solver._linked_blas() == ""
