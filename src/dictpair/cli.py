@@ -8,8 +8,10 @@ An unset hyperparameter flag takes its model.Hyperparams default; Hyperparams
 and solver.train (the mode rule) reject bad values with a ValueError, and the
 parser rejects a negative value of the other seed flags.
 
-Exit codes: 0 success, 1 oracle-check failure, 2 usage error (any ValueError),
-3 numerical failure. Every command is deterministic given its flags.
+Exit codes: 0 success, 1 oracle-check failure, 2 usage error (any ValueError
+or OSError, such as a missing file or a directory given as one), 3 numerical
+failure (NumericalError, LinAlgError or FloatingPointError). Every command is
+deterministic given its flags.
 """
 
 import argparse
@@ -168,7 +170,7 @@ def cmd_train(args) -> int:
     hp = _resolve_hp(args)
     ds = _load_dataset(args)
     _print_config(args, hp, extra={"mode": args.mode})
-    pair, codes, weights, history = solver.train(ds, hp, mode=args.mode, self_check=args.self_check)
+    pair, codes, weights, history = solver.train(ds, hp, mode=args.mode)
     save_model(args.model_out, pair, hp)
     if args.history_out:
         _write_history(args.history_out, history)
@@ -328,10 +330,9 @@ def cmd_gradcheck(args) -> int:
     X_l = rng.uniform(1.0, 2.0, (4, 3))
     P_l = rng.standard_normal((2, 4))
     W = solver.update_W(X_l, P_l)
-    W_checked = -W if args.inject_sign_flip else W
-    grad = solver.numeric_gradient(lambda V: solver.weight_term(X_l, P_l, V), W_checked, 1e-5)
+    grad = solver.numeric_gradient(lambda V: solver.weight_term(X_l, P_l, V), W, 1e-5)
     gnorm = float(np.linalg.norm(grad[~np.eye(3, dtype=bool)]))
-    bound = 1e-5 * (1.0 + float(np.linalg.norm(W_checked)))
+    bound = 1e-5 * (1.0 + float(np.linalg.norm(W)))
     record("weights-stationarity", gnorm < bound, f"gradient norm {gnorm:.3e} vs bound {bound:.3e}")
 
     # weight update matches an independent numerical minimizer on diag(W) = 0
@@ -412,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prep_flags(p)
     p.add_argument("--model-out", required=True)
     p.add_argument("--history-out", default=None)
-    p.add_argument("--self-check", action="store_true",
-                   help="verify the linear-solve residuals every iteration")
     p.add_argument("--print-config", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the numerical oracle suite")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--inject-sign-flip", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -455,12 +453,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # LinAlgError is a ValueError, so the numerical clause comes first
     except (solver.NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ every class present. The text matrix format is a header line ``rows cols``
 followed by row-major whitespace-separated decimals (17 significant digits on
 save, so doubles round-trip exactly). A labels file holds one integer per line.
 ``read_block``/``write_block`` are the one codec of a matrix block, in matrix and
-model files; ``parse_tokens`` converts every token of a matrix, label or model
+model files, and ``read_end`` rejects what either file holds after its last
+block; ``parse_tokens`` converts every token of a matrix, label or model
 file, so a bad one is ``<file>, line <N>: expected a number, got '<token>'``.
 """
 
@@ -121,6 +122,14 @@ def read_block(lines, path) -> np.ndarray:
     raise ValueError(f"{path}: expected {size} values for a {rows}x{cols} matrix, found {len(values)}")
 
 
+def read_end(lines, path, expected: str) -> None:
+    """Reject a non-blank line left in ``lines`` (as for ``read_block``) after a
+    file's last block: a ValueError ``<path>, line <N>: <expected>, found more``."""
+    for lineno, line in lines:
+        if line.strip():
+            raise ValueError(f"{path}, line {lineno}: {expected}, found more")
+
+
 def write_block(fh, M: np.ndarray) -> None:
     """Write one matrix block: the ``rows cols`` header, then one row per line
     with 17 significant digits."""
@@ -138,10 +147,7 @@ def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         lines = enumerate(fh, start=1)
         M = read_block(lines, path)
-        for lineno, line in lines:
-            if line.strip():
-                raise ValueError(f"{path}, line {lineno}: expected {M.size} values for a "
-                                 f"{M.shape[0]}x{M.shape[1]} matrix, found more")
+        read_end(lines, path, f"expected {M.size} values for a {M.shape[0]}x{M.shape[1]} matrix")
     finite = np.isfinite(M)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import LabeledDataset, parse_tokens, read_block, write_block
+from .data import LabeledDataset, parse_tokens, read_block, read_end, write_block
 
 MODEL_MAGIC = "RADPL v1"
 
@@ -187,8 +187,8 @@ def save_model(path, pair: DictionaryPair, hp: Hyperparams) -> None:
 
 def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
     """Load a model file written by save_model; a non-numeric token, a class count,
-    dimension or atom count below one, or a non-finite hyperparameter or D/P entry
-    is a ValueError naming the file."""
+    dimension or atom count below one, a non-finite hyperparameter or D/P entry,
+    or content after the last block is a ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
         lines = enumerate(fh, start=1)
         magic = next(lines, (0, ""))[1].strip()
@@ -232,4 +232,5 @@ def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
                     raise ValueError(f"{path}: class {l + 1} block {name}_{l + 1} has a non-finite entry")
             D.append(D_l)
             P.append(P_l)
+        read_end(lines, path, f"expected nothing after block P_{c}")
     return DictionaryPair(D=D, P=P), hp

@@ -60,8 +60,11 @@ Numerical guards: the analysis system A is factorized by Cholesky, A = L L',
 and P_l is solved by forward and back substitution on that factor. tau*I is
 added to A only when the factorization fails or
 (min L_ii / max L_ii)^2 < 1/COND_GUARD; that system is then solved by LU,
-and TrainHistory.tau_regularized counts those solves. A non-finite A, and a
-non-finite objective in train, raise NumericalError.
+and TrainHistory.tau_regularized counts those solves. Every analysis and
+synthesis solve is verified on every run (_checked_solve): a singular system,
+or a residual ||Y A - B|| not within 1e-8 ||B|| (a NaN residual fails too),
+raises NumericalError naming the solve. A non-finite A, and a non-finite
+objective in train, raise NumericalError as well.
 """
 
 import os
@@ -85,8 +88,8 @@ SUM_FLOOR = 1e-10
 
 
 class NumericalError(RuntimeError):
-    """A linear system remained unsolvable after tau-regularization, or the
-    maths produced a non-finite value."""
+    """A linear system was singular or its solve failed the residual check,
+    or the maths produced a non-finite value."""
 
 
 @dataclass
@@ -153,23 +156,6 @@ def update_reweights(
     return h, u, v
 
 
-def _solve_right(A: np.ndarray, B: np.ndarray, check: str | None = None) -> np.ndarray:
-    """Solve Y A = B with one LU factorization: the synthesis systems and the
-    tau-regularized analysis systems, which have no usable Cholesky factor.
-    With check set, the residual is verified at 1e-8 relative; a
-    NumericalError names the check."""
-    Y = np.linalg.solve(A.T, B.T).T
-    if check is not None:
-        _check_solve_residual(Y, A, B, check)
-    return Y
-
-
-def _check_solve_residual(Y, A, B, what: str) -> None:
-    res = np.linalg.norm(Y @ A - B)
-    if res > 1e-8 * max(np.linalg.norm(B), np.finfo(float).tiny):
-        raise NumericalError(f"{what} solve residual {res:.3e} exceeds 1e-8 relative")
-
-
 def _cholesky_guard(A: np.ndarray) -> np.ndarray | None:
     """Cholesky factor L of A = L L', or None when A has none or
     (min L_ii / max L_ii)^2 is below 1/COND_GUARD.
@@ -198,6 +184,24 @@ def _substitute(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
         e = min(s + SUBST_BLOCK, n)
         done = slice(0, s) if lower else slice(e, n)
         Y[s:e] = np.linalg.solve(T[s:e, s:e], B[s:e] - T[s:e, done] @ Y[done])
+    return Y
+
+
+def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, L: np.ndarray | None = None) -> np.ndarray:
+    """Solve Y A = B, by substitution on L when given (A = L L'), else by one
+    LU factorization, and verify it: a singular system, or a residual
+    ||Y A - B|| that is not within 1e-8 ||B|| (NaN included), raises a
+    NumericalError naming the `what` solve."""
+    try:
+        if L is None:
+            Y = np.linalg.solve(A.T, B.T).T
+        else:
+            Y = _substitute(L.T, _substitute(L, B.T, lower=True), lower=False).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} system singular") from exc
+    res = np.linalg.norm(Y @ A - B)
+    if not res <= 1e-8 * max(np.linalg.norm(B), np.finfo(float).tiny):
+        raise NumericalError(f"{what} solve residual {res:.3e} exceeds 1e-8 relative")
     return Y
 
 
@@ -259,28 +263,17 @@ def update_P(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-    self_check: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system.
 
     With the guard's factor A = L L', P_l' is solved by substitution on it:
     L Z = B', then L' P_l' = Z. When tau*I was added instead, A + tau I is
-    solved by LU (_solve_right). Returns P_l and whether tau*I was added;
-    m, mbar are the code means of the P_l being replaced. self_check verifies
-    the solve residual.
+    solved by LU. Either solve is verified by _checked_solve. Returns P_l and
+    whether tau*I was added; m, mbar are the code means of the P_l being
+    replaced.
     """
     A, B, L = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
-    try:
-        if L is None:
-            return _solve_right(A, B, "analysis" if self_check else None), True
-        P_l = _substitute(L.T, _substitute(L, B.T, lower=True), lower=False).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"analysis system singular (tau-regularized: {'yes' if L is None else 'no'})"
-        ) from exc
-    if self_check:
-        _check_solve_residual(P_l, A, B, "analysis")
-    return P_l, False
+    return _checked_solve(A, B, "analysis", L), L is None
 
 
 def update_S(
@@ -304,15 +297,14 @@ def update_S(
     return S_l * num / den
 
 
-def solve_synthesis(
-    X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float, self_check: bool = False
-) -> np.ndarray:
+def solve_synthesis(X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
     """Ridge solve for the synthesis block, before column normalization:
-    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1; self_check verifies the residual."""
+    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1, by LU, verified by
+    _checked_solve."""
     k = S_l.shape[0]
     B = (X_l * v) @ S_l.T
     A = (S_l * v) @ S_l.T + tau * np.eye(k)
-    return _solve_right(A, B, "synthesis" if self_check else None)
+    return _checked_solve(A, B, "synthesis")
 
 
 def _normalize_columns(D_l: np.ndarray, n: int) -> np.ndarray:
@@ -324,11 +316,9 @@ def _normalize_columns(D_l: np.ndarray, n: int) -> np.ndarray:
     return np.where(degenerate[None, :], 1.0 / n, D_l / np.where(degenerate, 1.0, sums)[None, :])
 
 
-def update_D(
-    X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float, self_check: bool = False
-) -> np.ndarray:
+def update_D(X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
     """Synthesis update: ridge solve, then column-sum normalization."""
-    return _normalize_columns(solve_synthesis(X_l, S_l, v, tau, self_check), X_l.shape[0])
+    return _normalize_columns(solve_synthesis(X_l, S_l, v, tau), X_l.shape[0])
 
 
 def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
@@ -349,21 +339,21 @@ def sweep_class(
     st: ClassState,
     hp: Hyperparams,
     mode: str = "full",
-    self_check: bool = False,
     X_l: np.ndarray | None = None,
 ) -> bool:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
     in mode "full" only, st.W of class l (0-based) to their updates under the
-    diagonals st.h, st.u, st.v, which are not refreshed; see train for mode and
-    self_check. X_l is the class block ds.class_matrix(l + 1), fetched here
-    when not given. Returns whether tau*I was added to the analysis system."""
+    diagonals st.h, st.u, st.v, which are not refreshed; see train for mode.
+    The P and D solves are verified (_checked_solve). X_l is the class block
+    ds.class_matrix(l + 1), fetched here when not given. Returns whether tau*I
+    was added to the analysis system."""
     if X_l is None:
         X_l = ds.class_matrix(l + 1)
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
-    st.P, regularized = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, self_check)
+    st.P, regularized = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
     v = np.ones_like(st.v) if mode == "frobenius" else st.v
     st.S = update_S(X_l, st.D, st.P, st.S, st.u, v, hp.tau)
-    st.D = update_D(X_l, st.S, v, hp.tau, self_check)
+    st.D = update_D(X_l, st.S, v, hp.tau)
     if mode == "full":
         st.W = update_W(X_l, st.P)
     return regularized
@@ -557,14 +547,14 @@ def _map_classes(step, c: int, workers: int) -> list:
     return results
 
 
-def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str, self_check: bool):
+def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str):
     """One iteration of class l on its record: sweep_class, update_reweights,
     then the squared changes of P, S, D, W and the class's objective terms
     (model, relaxed), each tuple in the order its objective adds them up.
     Returns (tau*I added, squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
-    regularized = sweep_class(ds, l, st, hp, mode, self_check, X_l=X_l)
+    regularized = sweep_class(ds, l, st, hp, mode, X_l=X_l)
     st.h, st.u, st.v = update_reweights(X_l, st.D, st.P, st.S, hp.tau)
     # each difference is taken in C order, whatever the memory order of the blocks
     squared = tuple(
@@ -578,7 +568,6 @@ def train(
     ds: LabeledDataset,
     hp: Hyperparams,
     mode: str = "full",
-    self_check: bool = False,
 ) -> tuple[DictionaryPair, CodingState, WeightState, TrainHistory]:
     """Run the alternating-minimization loop from init_state: each iteration
     runs sweep_class and then update_reweights on every class's record, the
@@ -589,10 +578,9 @@ def train(
     mode "full" runs every update; "reduced" requires beta = lam = 0 and skips
     the W updates (they no longer enter the objective); "frobenius" is reduced
     mode with the synthesis-fit reweighting v held at identity, turning the
-    robust reconstruction term into a plain least-squares fit. With self_check
-    on, the linear-solve residuals of the P and D updates are verified at
-    1e-8 relative every iteration. Raises NumericalError as soon as the model
-    or relaxed objective is not finite.
+    robust reconstruction term into a plain least-squares fit. Raises
+    NumericalError as soon as a P or D solve fails its residual check (see
+    _checked_solve) or the model or relaxed objective is not finite.
     """
     if mode not in ("full", "reduced", "frobenius"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -606,7 +594,7 @@ def train(
     prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
     workers = _worker_count(len(states))
     for it in range(1, hp.max_iter + 1):
-        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode, self_check), len(states), workers)
+        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode), len(states), workers)
         history.tau_regularized += sum(regularized for regularized, _, _ in steps)
         obj = _finite(_add_up(model for _, _, (model, _) in steps), f"model objective at iteration {it}")
         relaxed = _add_up(relaxed for _, _, (_, relaxed) in steps)

@@ -213,18 +213,42 @@ def test_negative_seed_flag_exits_2_naming_the_flag(workdir, capsys, monkeypatch
     assert list(workdir.iterdir()) == []
 
 
-def test_train_self_check_flag(workdir, capsys):
-    run(capsys, *synth_args(workdir / "d"))
-    rc, _, _ = run(capsys, *train_args(workdir / "d", workdir / "m.model"), "--self-check")
-    assert rc == 0
-
-
-def test_train_self_check_flag_fails_on_inaccurate_solves(workdir, capsys, monkeypatch):
+def test_train_exits_3_on_inaccurate_solves(workdir, capsys, monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
     run(capsys, *synth_args(workdir / "d"))
-    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"), "--self-check")
-    assert rc == 3 and "analysis solve residual" in err
+    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 3 and "numerical failure: analysis solve residual" in err
+
+
+def test_train_exits_3_on_linalg_error(workdir, capsys, monkeypatch):
+    # LinAlgError is a ValueError; it must not be reported as a usage error
+    from dictpair import solver as solver_mod
+
+    def singular(X_l, P_l):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver_mod, "update_W", singular)
+    run(capsys, *synth_args(workdir / "d"))
+    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 3 and "numerical failure: Singular matrix" in err
+    assert not (workdir / "m.model").exists()
+
+
+@pytest.mark.parametrize("command", ["eval --data", "train --model-out"])
+def test_directory_given_as_a_file_exits_2(workdir, capsys, command):
+    run(capsys, *synth_args(workdir / "d"))
+    rc, _, _ = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 0
+    (workdir / "dir").mkdir()
+    if command == "eval --data":
+        argv = ["eval", "--data", str(workdir / "dir"), "--labels", f"{workdir}/d.labels",
+                "--model", str(workdir / "m.model")]
+    else:
+        argv = train_args(workdir / "d", workdir / "dir")
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
 
 
 def test_train_rejects_nan_hyperparameter(workdir, capsys):
@@ -470,16 +494,13 @@ def test_gradcheck_passes(capsys):
     assert all(": PASS" in l for l in lines)
 
 
-def test_gradcheck_detects_injected_sign_flip(capsys):
-    rc, out, _ = run(capsys, "gradcheck", "--seed", "0", "--inject-sign-flip")
-    assert rc == 1
-    assert "weights-stationarity: FAIL" in out
-
-
 def test_gradcheck_checks_the_shipped_weight_update(capsys, monkeypatch):
-    # the zeroed unconstrained minimizer, I - M^-1 with its diagonal set to 0,
-    # is not the minimizer on diag(W) = 0; both weight oracles must see that
+    # two faults in the shipped update that both weight oracles must see: the
+    # zeroed unconstrained minimizer, I - M^-1 with its diagonal set to 0, is
+    # not the minimizer on diag(W) = 0, and neither is the sign-flipped update
     from dictpair import solver as solver_mod
+
+    update_W = solver_mod.update_W
 
     def zeroed_unconstrained(X_l, P_l):
         PX = P_l @ X_l
@@ -488,7 +509,8 @@ def test_gradcheck_checks_the_shipped_weight_update(capsys, monkeypatch):
         np.fill_diagonal(W, 0.0)
         return W
 
-    monkeypatch.setattr(solver_mod, "update_W", zeroed_unconstrained)
-    rc, out, _ = run(capsys, "gradcheck", "--seed", "0")
-    assert rc == 1
-    assert "weights-stationarity: FAIL" in out and "weights-minimizer: FAIL" in out
+    for faulty in (zeroed_unconstrained, lambda X_l, P_l: -update_W(X_l, P_l)):
+        monkeypatch.setattr(solver_mod, "update_W", faulty)
+        rc, out, _ = run(capsys, "gradcheck", "--seed", "0")
+        assert rc == 1
+        assert "weights-stationarity: FAIL" in out and "weights-minimizer: FAIL" in out

@@ -170,6 +170,19 @@ def test_model_blocks_are_matrix_files(tmp_path):
     assert start == len(lines)
 
 
+def test_model_rejects_content_after_last_block(tmp_path):
+    _, hp, pair = trained_tiny()
+    path = tmp_path / "m.model"
+    save_model(path, pair, hp)
+    text = path.read_text()
+    n_lines = len(text.splitlines())
+    path.write_text(text + "\n\n")
+    load_model(path)
+    path.write_text(text + "\n1 1\ngarbage\n")
+    with pytest.raises(ValueError, match=rf"m\.model, line {n_lines + 2}: expected nothing after block P_2, found more"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("index, text, message", [
     (1, "0 5 0", r"line 2: c and n must be positive, got c=0, n=5"),
     (1, "2 0 4", r"line 2: c and n must be positive, got c=2, n=0"),

@@ -179,7 +179,7 @@ def test_update_P_matches_lu_reference(rng, n, sizes):
         h = rng.uniform(0.5, 2.0, n)
         m, mbar = solver.compute_means(rng.standard_normal((3, n)), X, ds.sample_sum, ds.n_samples)
         A, B, _ = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
-        P, regularized = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp, self_check=True)
+        P, regularized = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)
         want = np.linalg.solve(A.T, B.T).T
         assert not regularized
         assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
@@ -203,7 +203,7 @@ def test_ratio_guard_on_positive_definite_system_takes_tau_and_lu(rng):
     P, regularized = solver.update_P(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
     assert regularized
     assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
-    history = train(ds, hp, mode="reduced", self_check=True)[3]
+    history = train(ds, hp, mode="reduced")[3]
     assert history.tau_regularized == ds.n_classes * history.iterations_run > 0
 
 
@@ -548,13 +548,13 @@ def test_train_structure_invariants(trained_standard):
 
 
 def test_train_self_check_mode(standard_split, standard_hp):
-    # raises on any solve residual above 1e-8 relative, every iteration
+    # train raises on any solve residual above 1e-8 relative, every iteration
     train_ds, _ = standard_split
-    history = train(train_ds, standard_hp, self_check=True)[3]
+    history = train(train_ds, standard_hp)[3]
     assert history.tau_regularized == 0
     # also through the singular-guard path (alpha = 0 leaves the system rank-deficient)
     hp = dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)
-    history = train(train_ds, hp, self_check=True)[3]
+    history = train(train_ds, hp)[3]
     assert history.tau_regularized == train_ds.n_classes * history.iterations_run
 
 
@@ -567,7 +567,7 @@ def test_train_self_check_presets(request, preset, data):
     alpha, beta, lam = PRESETS[preset]
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
-    history = train(train_ds, hp, self_check=True)[3]
+    history = train(train_ds, hp)[3]
     assert history.iterations_run >= 1
 
 
@@ -600,14 +600,48 @@ def test_train_self_check_catches_inaccurate_solves(standard_split, standard_hp,
     train_ds, _ = standard_split
     hp = dataclasses.replace(standard_hp, max_iter=2)
     with pytest.raises(solver.NumericalError, match="analysis solve residual"):
-        train(train_ds, hp, self_check=True)
-    train(train_ds, hp)
+        train(train_ds, hp)
     X_l = train_ds.class_matrix(1)
     S_l = np.abs(np.random.default_rng(0).standard_normal((2, X_l.shape[1])))
     v = np.ones(X_l.shape[1])
     with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
-        solver.update_D(X_l, S_l, v, 1e-6, self_check=True)
-    solver.update_D(X_l, S_l, v, 1e-6)
+        solver.update_D(X_l, S_l, v, 1e-6)
+
+
+def test_train_checks_the_synthesis_solve(standard_split, standard_hp, monkeypatch):
+    # only the k x k synthesis solves are off by 1e-3 relative; no analysis
+    # substitution block has that size
+    train_ds, _ = standard_split
+    k, n = standard_hp.atoms_per_class, train_ds.n_features
+    assert k not in {n, min(n, solver.SUBST_BLOCK), n % solver.SUBST_BLOCK}
+    solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3) if A.shape == (k, k) else solve(A, B)
+    )
+    with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
+        train(train_ds, dataclasses.replace(standard_hp, max_iter=2))
+
+
+def _singular(A, B):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda A, B: np.full(B.shape, np.nan), "solve residual nan exceeds"),
+    (_singular, "system singular"),
+], ids=["nan-result", "singular"])
+def test_failed_solve_raises_naming_it(standard_split, standard_hp, monkeypatch, fault, message):
+    # a NaN residual fails the check (NaN > bound is False), and a LAPACK
+    # error is wrapped; each names the solve
+    train_ds, _ = standard_split
+    st = init_state(train_ds, standard_hp)[0]
+    X_l = train_ds.class_matrix(1)
+    m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
+    monkeypatch.setattr(np.linalg, "solve", fault)
+    with pytest.raises(solver.NumericalError, match=f"analysis {message}"):
+        solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
+    with pytest.raises(solver.NumericalError, match=f"synthesis {message}"):
+        solver.update_D(X_l, st.S, st.v, standard_hp.tau)
 
 
 @pytest.mark.parametrize("mode", ["full", "reduced", "frobenius"])
@@ -645,7 +679,7 @@ def test_sweep_never_writes_into_state_arrays(standard_split, standard_hp, mode)
             for name in "DPSWhuv":
                 getattr(st, name).flags.writeable = False
         for l, st in enumerate(states):
-            solver.sweep_class(train_ds, l, st, hp, mode, self_check=True)
+            solver.sweep_class(train_ds, l, st, hp, mode)
             st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
 
 
