@@ -15,7 +15,9 @@ deterministic given its flags.
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -166,8 +168,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_output_path(path) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise when it
+    is a directory or its parent directory is missing, creating no file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_train(args) -> int:
     hp = _resolve_hp(args)
+    for path in (args.model_out, args.history_out):
+        if path is not None:
+            _check_output_path(path)
     ds = _load_dataset(args)
     _print_config(args, hp, extra={"mode": args.mode})
     pair, codes, weights, history = solver.train(ds, hp, mode=args.mode)

@@ -9,12 +9,19 @@ save, so doubles round-trip exactly). A labels file holds one integer per line.
 model files, and ``read_end`` rejects what either file holds after its last
 block; ``parse_tokens`` converts every token of a matrix, label or model
 file, so a bad one is ``<file>, line <N>: expected a number, got '<token>'``.
+``write_rows`` is the one 17-digit formatter, of those blocks and of
+``metrics.write_csv_matrix``; ``check_block`` rejects, before a file is
+written, a block that the readers would reject.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+# values that write_rows formats per write (but at least one row): one chunk's
+# text, about 1.5 MB, and its tuple of floats stay small at any matrix size
+ROWS_CHUNK_VALUES = 65536
 
 
 @dataclass
@@ -130,12 +137,36 @@ def read_end(lines, path, expected: str) -> None:
             raise ValueError(f"{path}, line {lineno}: {expected}, found more")
 
 
+def check_block(M: np.ndarray, name: str) -> None:
+    """Reject a block that ``read_block`` or a loader would reject: a zero
+    dimension, or a NaN or infinite entry, which is named by its position."""
+    if 0 in M.shape:
+        raise ValueError(f"{name}: dimensions must be positive, got {M.shape[0]}x{M.shape[1]}")
+    finite = np.isfinite(M)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{name}: non-finite value {float(M[i, j])} at row {i}, column {j}")
+
+
+def write_rows(fh, M: np.ndarray, sep: str) -> None:
+    """Write the rows of ``M``, one per line, each value with 17 significant
+    digits and the values joined by ``sep``.
+
+    One ``%``-template formats ROWS_CHUNK_VALUES values at a time (at least one
+    row); ``"%.17g" % x`` is ``format(x, ".17g")``, byte for byte."""
+    rows, cols = M.shape
+    step = max(1, ROWS_CHUNK_VALUES // max(cols, 1))
+    line = sep.join(["%.17g"] * cols) + "\n"
+    for start in range(0, rows, step):
+        chunk = M[start:start + step]
+        fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def write_block(fh, M: np.ndarray) -> None:
     """Write one matrix block: the ``rows cols`` header, then one row per line
     with 17 significant digits."""
     fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-    for row in M:
-        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_rows(fh, M, " ")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -158,10 +189,14 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    """Write a matrix in the text format, one row per line, 17 significant digits."""
+    """Write a matrix in the text format, one row per line, 17 significant digits.
+
+    A matrix that ``load_matrix`` would reject (a zero dimension, a NaN or
+    infinite entry) is a ValueError, and no file is opened then."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("save_matrix expects a 2-D array")
+    check_block(M, str(path))
     with open(path, "w", encoding="ascii") as fh:
         write_block(fh, M)
 

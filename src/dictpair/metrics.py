@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from .data import write_rows
 from .model import DictionaryPair
 
 # atoms with centered norm below this count as constant (zero variance)
@@ -92,5 +93,4 @@ def write_pgm(path, values: np.ndarray) -> None:
 def write_csv_matrix(path, values: np.ndarray) -> None:
     """Comma-separated matrix dump at full precision."""
     with open(path, "w", encoding="ascii") as fh:
-        for row in np.asarray(values, dtype=float):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_rows(fh, np.asarray(values, dtype=float), ",")

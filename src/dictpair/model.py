@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import LabeledDataset, parse_tokens, read_block, read_end, write_block
+from .data import LabeledDataset, check_block, parse_tokens, read_block, read_end, write_block
 
 MODEL_MAGIC = "RADPL v1"
 
@@ -170,7 +170,14 @@ def init_state(ds: LabeledDataset, hp: Hyperparams) -> list[ClassState]:
 
 
 def save_model(path, pair: DictionaryPair, hp: Hyperparams) -> None:
-    """Persist the dictionary pair and hyperparameters; round-trip exact."""
+    """Persist the dictionary pair and hyperparameters; round-trip exact.
+
+    A block that ``load_model`` would reject (a zero dimension, a NaN or
+    infinite entry) is a ValueError naming the block and its first bad entry,
+    and no file is opened then."""
+    for l, (D_l, P_l) in enumerate(zip(pair.D, pair.P), start=1):
+        check_block(D_l, f"{path}: class {l} block D_{l}")
+        check_block(P_l, f"{path}: class {l} block P_{l}")
     ks = pair.atoms_per_class
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MODEL_MAGIC + "\n")

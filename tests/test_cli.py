@@ -235,20 +235,33 @@ def test_train_exits_3_on_linalg_error(workdir, capsys, monkeypatch):
     assert not (workdir / "m.model").exists()
 
 
-@pytest.mark.parametrize("command", ["eval --data", "train --model-out"])
-def test_directory_given_as_a_file_exits_2(workdir, capsys, command):
+@pytest.mark.parametrize("command", ["eval --data", "train --model-out", "train --history-out",
+                                     "train --model-out missing-parent"])
+def test_directory_given_as_a_file_exits_2(workdir, capsys, monkeypatch, command):
+    """An unusable path exits 2 with the OSError's message; train reports an
+    output path it cannot write before it trains, and leaves no file."""
+    from dictpair import solver as solver_mod
+
     run(capsys, *synth_args(workdir / "d"))
     rc, _, _ = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
     assert rc == 0
     (workdir / "dir").mkdir()
+    monkeypatch.setattr(solver_mod, "train", lambda *a, **kw: pytest.fail("trained before checking the output paths"))
+    message = "Is a directory"
     if command == "eval --data":
         argv = ["eval", "--data", str(workdir / "dir"), "--labels", f"{workdir}/d.labels",
                 "--model", str(workdir / "m.model")]
-    else:
+    elif command == "train --model-out":
         argv = train_args(workdir / "d", workdir / "dir")
+    elif command == "train --history-out":
+        argv = train_args(workdir / "d", workdir / "new.model", history=workdir / "dir")
+    else:
+        argv = train_args(workdir / "d", workdir / "missing" / "m.model")
+        message = "No such file or directory"
     rc, _, err = run(capsys, *argv)
     assert rc == 2
-    assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (workdir / "new.model").exists() and not (workdir / "missing").exists()
 
 
 def test_train_rejects_nan_hyperparameter(workdir, capsys):

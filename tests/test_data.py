@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dictpair import data
+from dictpair import data, metrics
 
 
 # --- matrix text I/O ---------------------------------------------------------
@@ -90,6 +92,64 @@ def test_roundtrip_property(tmp_path_factory, M):
     p = tmp_path_factory.mktemp("rt") / "m.txt"
     data.save_matrix(p, M)
     assert np.array_equal(data.load_matrix(p), M)
+
+
+@pytest.mark.parametrize("M, message", [
+    (np.zeros((3, 0)), "dimensions must be positive, got 3x0"),
+    (np.zeros((0, 3)), "dimensions must be positive, got 0x3"),
+    ([[1.0, np.nan]], "non-finite value nan at row 0, column 1"),
+    ([[np.inf]], "non-finite value inf at row 0, column 0"),
+], ids=["3x0", "0x3", "nan", "inf"])
+def test_save_rejects_what_load_rejects(tmp_path, M, message):
+    p = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match=r"m\.txt: " + message):
+        data.save_matrix(p, M)
+    assert not p.exists()
+
+
+def per_value_rows(M, sep):
+    """The writers' former per-value formula: the bytes that matrix, model and
+    CSV files keep."""
+    return "".join(sep.join(f"{v:.17g}" for v in row) + "\n" for row in M)
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 2.0, 1e16, 1e22, -1e-300]
+
+
+def pinned_matrix(name):
+    rng = np.random.default_rng(5)
+    if name == "edge-values":
+        return np.array([EDGE_VALUES, [-v for v in EDGE_VALUES]])
+    if name == "transposed":
+        return rng.standard_normal((6, 4)).T
+    if name == "column-sliced":
+        return rng.standard_normal((5, 12))[:, ::3]
+    if name == "several-chunks":
+        M = rng.standard_normal((7, 20000)) * 10.0 ** rng.integers(-300, 300, (7, 20000))
+        assert M.shape[1] < data.ROWS_CHUNK_VALUES < M.size
+        return M
+    if name == "row-over-one-chunk":
+        return rng.standard_normal((2, data.ROWS_CHUNK_VALUES + 17))
+    assert name == "no-columns"
+    return np.zeros((3, 0))
+
+
+PINNED = ["edge-values", "transposed", "column-sliced", "several-chunks", "row-over-one-chunk", "no-columns"]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_write_block_keeps_the_per_value_bytes(name):
+    M = pinned_matrix(name)
+    fh = io.StringIO()
+    data.write_block(fh, M)
+    assert fh.getvalue() == f"{M.shape[0]} {M.shape[1]}\n" + per_value_rows(M, " ")
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_write_csv_matrix_keeps_the_per_value_bytes(tmp_path, name):
+    M = pinned_matrix(name)
+    metrics.write_csv_matrix(tmp_path / "m.csv", M)
+    assert (tmp_path / "m.csv").read_text(encoding="ascii") == per_value_rows(M, ",")
 
 
 def test_labels_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dictpair import (
+    DictionaryPair,
     Hyperparams,
     classify_sample,
     init_state,
@@ -199,6 +200,26 @@ def test_model_rejects_degenerate_header(tmp_path, index, text, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"m\.model, " + message):
         load_model(path)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan-in-D", r"class 1 block D_1: non-finite value nan at row 1, column 0"),
+    ("inf-in-P", r"class 2 block P_2: non-finite value -inf at row 0, column 2"),
+    ("class-without-atoms", r"class 2 block D_2: dimensions must be positive, got 5x0"),
+], ids=["nan-in-D", "inf-in-P", "class-without-atoms"])
+def test_save_model_rejects_what_load_rejects(tmp_path, case, message):
+    _, hp, pair = trained_tiny()
+    D, P = [M.copy() for M in pair.D], [M.copy() for M in pair.P]
+    if case == "nan-in-D":
+        D[0][1, 0] = np.nan
+    elif case == "inf-in-P":
+        P[1][0, 2] = -np.inf
+    else:
+        D[1], P[1] = np.zeros((5, 0)), np.zeros((0, 5))
+    path = tmp_path / "m.model"
+    with pytest.raises(ValueError, match=r"m\.model: " + message):
+        save_model(path, DictionaryPair(D=D, P=P), hp)
+    assert not path.exists()
 
 
 def test_model_behavioral_equivalence(tmp_path):
