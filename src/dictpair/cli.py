@@ -36,7 +36,7 @@ from .data import (
     save_matrix,
     split,
 )
-from .model import Hyperparams, init_state, load_model, save_model
+from .model import ClassState, Hyperparams, init_state, load_model, save_model
 
 # alpha, beta, lambda triples for the shipped experiment presets
 PRESETS = {
@@ -105,29 +105,16 @@ def _resolve_hp(args) -> Hyperparams:
 
 
 def _load_dataset(args) -> LabeledDataset:
-    X = load_matrix(args.data)
-    labels = load_labels(args.labels)
-    ds = partition_by_class(X, labels)
-    return _preprocess(ds, args)
-
-
-def _preprocess(ds: LabeledDataset, args) -> LabeledDataset:
-    if args.project_dim is None and not args.normalize:
-        return ds
+    """The --data/--labels dataset, checked by partition_by_class, with each
+    preprocessing step that is set applied in --prep-order order."""
+    ds = partition_by_class(load_matrix(args.data), load_labels(args.labels))
     X = ds.X
-    steps = []
-    if args.project_dim is not None:
-        steps.append("project")
-    if args.normalize:
-        steps.append("normalize")
-    if args.prep_order == "normalize-then-project":
-        steps = steps[::-1]
-    for step in steps:
-        if step == "project":
+    for step in args.prep_order.split("-then-"):
+        if step == "project" and args.project_dim is not None:
             X = random_projection_features(X, args.project_dim, args.project_seed)
-        else:
+        elif step == "normalize" and args.normalize:
             X = normalize_unit_l2(X)
-    return partition_by_class(X, ds.labels)
+    return ds if X is ds.X else partition_by_class(X, ds.labels)
 
 
 def _print_config(args, hp: Hyperparams | None = None, extra: dict | None = None) -> None:
@@ -229,21 +216,24 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     pair, _ = load_model(args.model)
     ds = _load_dataset(args)
+    # every value is computed, and every output path checked, before a file is opened
     D, P = pair.assembled()
     sim = metrics.atom_similarity(D)
-    metrics.write_pgm(args.out_prefix + ".atoms.pgm", sim)
-    metrics.write_csv_matrix(args.out_prefix + ".atoms.csv", sim)
     recon_err = metrics.reconstruction_error(ds.X, pair)
-    recon = D @ (P @ ds.X)
-    psnr_val = metrics.psnr(ds.X, recon)
     codes = P @ ds.X
+    psnr_val = metrics.psnr(ds.X, D @ codes)
     energy = metrics.block_diagonal_energy(codes, ds.labels, pair.atom_classes())
     lines = [
         f"reconstruction_error,{recon_err:.17g}",
         f"psnr,{'inf' if math.isinf(psnr_val) else format(psnr_val, '.17g')}",
         f"block_diagonal_energy,{energy:.17g}",
     ]
-    with open(args.out_prefix + ".report.csv", "w", encoding="ascii") as fh:
+    pgm, csv, report = (args.out_prefix + suffix for suffix in (".atoms.pgm", ".atoms.csv", ".report.csv"))
+    for path in (pgm, csv, report):
+        _check_output_path(path)
+    metrics.write_pgm(pgm, sim)
+    metrics.write_csv_matrix(csv, sim)
+    with open(report, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -309,36 +299,6 @@ def cmd_gradcheck(args) -> int:
     err = float(np.abs(G - 1.0).max())
     record("gradient-linear", err < 1e-6, f"max entry error {err:.3e}")
 
-    # analysis solve residual on random instances
-    hp = Hyperparams(alpha=0.05, beta=0.05, lam=1e-3, tau=1e-6, atoms_per_class=3, seed=args.seed)
-    worst = 0.0
-    for _ in range(5):
-        X_l = rng.uniform(1.0, 2.0, (5, 8))
-        Xbar_l = rng.uniform(1.0, 2.0, (5, 6))
-        S_l = np.abs(rng.standard_normal((3, 8)))
-        W_l = rng.standard_normal((8, 8))
-        np.fill_diagonal(W_l, 0.0)
-        u = rng.uniform(0.5, 2.0, 8)
-        h = rng.uniform(0.5, 2.0, 5)
-        ds = partition_by_class(np.hstack([X_l, Xbar_l]), np.repeat([1, 2], [8, 6]))
-        m, mbar = solver.compute_means(rng.standard_normal((3, 5)), X_l, ds.sample_sum, ds.n_samples)
-        A, B, _ = solver.analysis_system(X_l, ds.gram, S_l, W_l, u, h, m, mbar, hp)
-        P_l, _ = solver.update_P(X_l, ds.gram, S_l, W_l, u, h, m, mbar, hp)
-        worst = max(worst, np.linalg.norm(P_l @ A - B) / np.linalg.norm(B))
-    record("analysis-solve-residual", worst < 1e-8, f"worst relative residual {worst:.3e}")
-
-    # synthesis solve residual
-    worst = 0.0
-    for _ in range(5):
-        X_l = rng.uniform(1.0, 2.0, (5, 8))
-        S_l = np.abs(rng.standard_normal((3, 8))) + 0.1
-        v = rng.uniform(0.5, 2.0, 8)
-        D_pre = solver.solve_synthesis(X_l, S_l, v, 1e-6)
-        A = (S_l * v) @ S_l.T + 1e-6 * np.eye(3)
-        B = (X_l * v) @ S_l.T
-        worst = max(worst, np.linalg.norm(D_pre @ A - B) / np.linalg.norm(B))
-    record("synthesis-solve-residual", worst < 1e-8, f"worst relative residual {worst:.3e}")
-
     # weight update: the shipped update is stationary on diag(W) = 0, that is
     # the gradient of the weight term vanishes off the diagonal
     X_l = rng.uniform(1.0, 2.0, (4, 3))
@@ -353,24 +313,26 @@ def cmd_gradcheck(args) -> int:
     err = float(np.abs(_minimize_weights_gd(X_l, P_l) - W).max())
     record("weights-minimizer", err < 1e-6, f"max entry difference {err:.3e}")
 
-    # code update: surrogate non-increasing over 10 consecutive updates
-    def code_surrogate(X, D, P, S, u, v):
-        R1 = X - D @ S
-        R2 = S - P @ X
-        return 2.0 * float(np.sum((R1 * R1) * v)) + 2.0 * float(np.sum((R2 * R2) * u))
-
+    # code update: solver.surrogate_relaxed of one class at alpha = beta = lam = 0
+    # (its two fit terms) non-increasing over 10 consecutive updates
+    hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=3)
     worst = -np.inf
     for _ in range(5):
         X = rng.uniform(0.2, 1.0, (4, 6))
-        D = np.abs(rng.standard_normal((4, 3)))
-        P = np.abs(rng.standard_normal((3, 4)))
-        S = np.abs(rng.standard_normal((3, 6)))
-        u = rng.uniform(0.5, 2.0, 6)
-        v = rng.uniform(0.5, 2.0, 6)
-        prev = code_surrogate(X, D, P, S, u, v)
+        ds = partition_by_class(X, np.ones(6, dtype=int))
+        st = ClassState(
+            D=np.abs(rng.standard_normal((4, 3))),
+            P=np.abs(rng.standard_normal((3, 4))),
+            S=np.abs(rng.standard_normal((3, 6))),
+            W=np.zeros((6, 6)),
+            h=np.ones(4),
+            u=rng.uniform(0.5, 2.0, 6),
+            v=rng.uniform(0.5, 2.0, 6),
+        )
+        prev = solver.surrogate_relaxed(ds, [st], hp)
         for _ in range(10):
-            S = solver.update_S(X, D, P, S, u, v, 1e-6)
-            cur = code_surrogate(X, D, P, S, u, v)
+            st.S = solver.update_S(X, st.D, st.P, st.S, st.u, st.v, 1e-6)
+            cur = solver.surrogate_relaxed(ds, [st], hp)
             worst = max(worst, (cur - prev) / max(abs(prev), 1e-30))
             prev = cur
     record("codes-surrogate-monotone", worst <= 1e-12, f"worst relative increase {worst:.3e}")

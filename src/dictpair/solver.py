@@ -36,9 +36,11 @@ W_l (the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
 inverse; see update_W). It then refreshes that class's three reweighting
 diagonals and returns the class's squared block changes and its terms of both
 objectives: the reconstruction terms of each (_model_fit, _relaxed_fit) and,
-computed once, the terms they share (_shared_terms). objective_model and
-objective_relaxed sum the same functions. The loop stops when the model
-objective changes by less than tol between consecutive sweeps.
+computed once, the terms they share (_shared_terms). objective_model,
+objective_relaxed and surrogate_relaxed are three calls of one class loop
+(_score); the first two add up the same per-class functions as the class
+step. The loop stops when the model objective changes by less than tol
+between consecutive sweeps.
 
 Class parallelism: the calling thread and _worker_count() - 1 helper threads
 run the class steps, each taking the lowest class not yet taken; the count is
@@ -404,7 +406,7 @@ def _relaxed_fit(X_l: np.ndarray, st: ClassState) -> tuple:
 
 
 def _add_up(terms) -> float:
-    """Sum of a sequence of per-class term tuples, added one term at a time
+    """Sum of an iterable of per-class term tuples, added one term at a time
     in class order, so every caller gets the same rounding."""
     total = 0.0
     for class_terms in terms:
@@ -413,23 +415,21 @@ def _add_up(terms) -> float:
     return total
 
 
+def _score(ds: LabeledDataset, states: list[ClassState], class_terms) -> float:
+    """_add_up of class_terms(X_l, st) over the records in class order, with
+    X_l = ds.class_matrix(l + 1); the one class loop of every objective."""
+    return _add_up(class_terms(ds.class_matrix(l + 1), st) for l, st in enumerate(states))
+
+
 def objective_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
-    terms = []
-    for l, st in enumerate(states):
-        X_l = ds.class_matrix(l + 1)
-        terms.append(_relaxed_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
-    return _add_up(terms)
+    return _score(ds, states, lambda X_l, st: _relaxed_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
 
 
 def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Model objective with codes eliminated (reconstruction through P then D);
     the records' S and diagonals are not read."""
-    terms = []
-    for l, st in enumerate(states):
-        X_l = ds.class_matrix(l + 1)
-        terms.append(_model_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
-    return _add_up(terms)
+    return _score(ds, states, lambda X_l, st: _model_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
 
 
 def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
@@ -439,16 +439,18 @@ def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperpar
     that majorizes). A sweep run with frozen diagonals is expected not to
     increase this quantity; the P step at lam = 0 and the W step (exact on
     diag(W_l) = 0) minimize it over their block."""
-    total = 0.0
-    for l, st in enumerate(states):
-        X_l = ds.class_matrix(l + 1)
+
+    def class_terms(X_l: np.ndarray, st: ClassState) -> tuple:
         R1 = X_l - st.D @ st.S
         R2 = st.S - st.P @ X_l
-        total += 2.0 * float(np.sum((R1 * R1) * st.v))
-        total += 2.0 * float(np.sum((R2 * R2) * st.u))
-        total += hp.alpha * 2.0 * float(np.sum((st.P * st.P) * st.h))
-        total += _penalties(ds, X_l, st.P, st.W, hp)
-    return total
+        return (
+            2.0 * float(np.sum((R1 * R1) * st.v)),
+            2.0 * float(np.sum((R2 * R2) * st.u)),
+            hp.alpha * 2.0 * float(np.sum((st.P * st.P) * st.h)),
+            _penalties(ds, X_l, st.P, st.W, hp),
+        )
+
+    return _score(ds, states, class_terms)
 
 
 def numeric_gradient(f, M: np.ndarray, h: float) -> np.ndarray:

@@ -497,14 +497,37 @@ def test_inspect_outputs(workdir, capsys):
     assert float(report["reconstruction_error"]) == pytest.approx(want, rel=0, abs=0)
 
 
+@pytest.mark.parametrize("cause", ["data dimension", "report path"])
+def test_inspect_fails_before_writing(workdir, capsys, cause):
+    run(capsys, *synth_args(workdir / "d", dim=20))
+    rc, _, _ = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 0
+    data = workdir / "d"
+    if cause == "data dimension":
+        run(capsys, *synth_args(workdir / "d12", dim=12))
+        data, message = workdir / "d12", "data dimension 12 != model dimension 20"
+    else:
+        (workdir / "insp.report.csv").mkdir()
+        message = "Is a directory"
+    rc, out, err = run(capsys, "inspect", "--model", f"{workdir}/m.model", "--data", f"{data}.mat",
+                       "--labels", f"{data}.labels", "--out-prefix", f"{workdir}/insp")
+    assert rc == 2 and out == "" and err.startswith("error: ") and message in err
+    assert sorted(p.name for p in workdir.glob("insp*")) == (["insp.report.csv"] if cause == "report path" else [])
+
+
 # --- gradcheck -----------------------------------------------------------------
 
 def test_gradcheck_passes(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--seed", "0")
     assert rc == 0
-    lines = [l for l in out.strip().splitlines() if ": PASS" in l or ": FAIL" in l]
-    assert len(lines) >= 5
-    assert all(": PASS" in l for l in lines)
+    assert [line.split(" (")[0] for line in out.strip().splitlines()] == [
+        "gradient-quadratic: PASS",
+        "gradient-linear: PASS",
+        "weights-stationarity: PASS",
+        "weights-minimizer: PASS",
+        "codes-surrogate-monotone: PASS",
+        "sweep-surrogate-monotone: PASS",
+    ]
 
 
 def test_gradcheck_detects_injected_sign_flip(capsys, monkeypatch):

@@ -439,24 +439,29 @@ def test_objective_model_perfect_reconstruction():
     assert objective_model(ds, states, hp) == 0.0
 
 
-def reference_objective(ds, states, hp, relaxed):
-    """Term-by-term recomputation with explicit loops over rows and classes."""
-    def l21(R):
+def reference_objective(ds, states, hp, relaxed, surrogate=False):
+    """Term-by-term recomputation with explicit loops over rows and classes.
+    With surrogate (relaxed only), row i of each row-sum norm term counts
+    2 w_i ||row i||^2, w being the record's diagonal for that term."""
+    def l21(R, w=None):
+        if surrogate:
+            return sum(2.0 * w[i] * np.sum(R[i] ** 2) for i in range(R.shape[0]))
         return sum(np.sqrt(np.sum(R[i] ** 2)) for i in range(R.shape[0]))
 
     total = 0.0
     for l in range(1, ds.n_classes + 1):
         X = ds.class_matrix(l)
         Xbar = ds.complement_matrix(l)
-        D, P, W = states[l - 1].D, states[l - 1].P, states[l - 1].W
+        st = states[l - 1]
+        D, P, W = st.D, st.P, st.W
         N = X.shape[1]
         PX = P @ X
         if relaxed:
-            S = states[l - 1].S
-            total += l21(X.T - S.T @ D.T) + l21(S.T - X.T @ P.T)
+            S = st.S
+            total += l21(X.T - S.T @ D.T, st.v) + l21(S.T - X.T @ P.T, st.u)
         else:
             total += l21(X.T - X.T @ P.T @ D.T)
-        total += hp.alpha * (np.sum((P @ Xbar) ** 2) + l21(P.T))
+        total += hp.alpha * (np.sum((P @ Xbar) ** 2) + l21(P.T, st.h))
         total += hp.beta * (
             np.sum((X - X @ W) ** 2) + np.sum((PX - PX @ W) ** 2) + np.sum(W**2)
         )
@@ -489,6 +494,11 @@ def test_objectives_match_reference(rng):
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
     got = objective_model(ds, states, hp)
     want = reference_objective(ds, states, hp, relaxed=False)
+    assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+    for st in states:
+        st.h, st.u, st.v = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+    got = surrogate_relaxed(ds, states, hp)
+    want = reference_objective(ds, states, hp, relaxed=True, surrogate=True)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
