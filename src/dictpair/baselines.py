@@ -1,6 +1,6 @@
 """Reference classifiers: two sanity baselines that serve as accuracy floors.
 The subspace one is a DictionaryPair, classified like a trained pair.
-The reduced dictionary pair is train(..., mode="reduced" or "frobenius")."""
+The pair without the locality and lam terms is train at beta = lam = 0."""
 
 import numpy as np
 

@@ -79,7 +79,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["full", "reduced", "frobenius"], default="full")
+    p.add_argument("--mode", choices=["full", "frobenius"], default="full")
 
 
 def _add_prep_flags(p: argparse.ArgumentParser) -> None:
@@ -203,7 +203,7 @@ def cmd_ablate(args) -> int:
         ("full", hp),
     ]
     # each distinct setting is trained once (beta0 and lambda0 equal full under
-    # a non-full --mode), all before the table, so a failed run prints none of it
+    # --mode frobenius), all before the table, so a failed run prints none of it
     accuracy = {}
     for _, hp_v in variants:
         if hp_v not in accuracy:

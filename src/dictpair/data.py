@@ -87,9 +87,6 @@ class LabeledDataset:
         mask[self.per_class[label - 1]] = False
         return self.X[:, mask]
 
-    def class_counts(self) -> list[int]:
-        return [idx.size for idx in self.per_class]
-
 
 def parse_tokens(tokens, convert, path, lineno) -> list:
     """Convert the tokens of one line with ``convert`` (``int`` or ``float``); a

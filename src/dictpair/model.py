@@ -234,9 +234,8 @@ def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
             P_l = read_block(lines, path)
             if D_l.shape != (n, ks[l]) or P_l.shape != (ks[l], n):
                 raise ValueError(f"{path}: class {l + 1} block shapes {D_l.shape}, {P_l.shape} mismatch header")
-            for name, block in (("D", D_l), ("P", P_l)):
-                if not np.isfinite(block).all():
-                    raise ValueError(f"{path}: class {l + 1} block {name}_{l + 1} has a non-finite entry")
+            check_block(D_l, f"{path}: class {l + 1} block D_{l + 1}")
+            check_block(P_l, f"{path}: class {l + 1} block P_{l + 1}")
             D.append(D_l)
             P.append(P_l)
         read_end(lines, path, f"expected nothing after block P_{c}")

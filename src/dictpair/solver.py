@@ -31,8 +31,8 @@ Gram matrix and the sample sum. One training iteration maps one class step
 (_class_step) over the records. The step runs sweep_class under the current
 diagonals: code means from the current P_l, analysis block P_l (n x n linear
 solve, see analysis_system), codes S_l (multiplicative rule), synthesis block
-D_l (ridge solve + column-sum normalization) and the reconstruction weights
-W_l (the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
+D_l (ridge solve + column-sum normalization) and, when beta > 0, weights W_l
+(the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
 inverse; see update_W). It then refreshes that class's three reweighting
 diagonals and returns the class's squared block changes and its terms of both
 objectives: the reconstruction terms of each (_model_fit, _relaxed_fit) and,
@@ -64,9 +64,9 @@ added to A only when the factorization fails or
 (min L_ii / max L_ii)^2 < 1/COND_GUARD; that system is then solved by LU,
 and TrainHistory.tau_regularized counts those solves. Every analysis and
 synthesis solve is verified on every run (_checked_solve): a singular system,
-or a residual ||Y A - B|| not within 1e-8 ||B|| (a NaN residual fails too),
-raises NumericalError naming the solve. A non-finite A, and a non-finite
-objective in train, raise NumericalError as well.
+or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||), n the order of A
+(NaN too), raises NumericalError naming the solve. A non-finite A, and a
+non-finite objective in train, raise NumericalError as well.
 """
 
 import os
@@ -192,8 +192,10 @@ def _substitute(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
 def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, L: np.ndarray | None = None) -> np.ndarray:
     """Solve Y A = B, by substitution on L when given (A = L L'), else by one
     LU factorization, and verify it: a singular system, or a residual
-    ||Y A - B|| that is not within 1e-8 ||B|| (NaN included), raises a
-    NumericalError naming the `what` solve."""
+    ||Y A - B|| above n eps (||Y|| ||A|| + ||B||) for A of order n (NaN
+    included), raises a NumericalError naming the `what` solve. That is the
+    normwise backward-error test (Higham, Accuracy and Stability of Numerical
+    Algorithms, 7.1), which backward-stable solves pass at any cond(A)."""
     try:
         if L is None:
             Y = np.linalg.solve(A.T, B.T).T
@@ -202,8 +204,9 @@ def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, L: np.ndarray | None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} system singular") from exc
     res = np.linalg.norm(Y @ A - B)
-    if not res <= 1e-8 * max(np.linalg.norm(B), np.finfo(float).tiny):
-        raise NumericalError(f"{what} solve residual {res:.3e} exceeds 1e-8 relative")
+    bound = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Y) * np.linalg.norm(A) + np.linalg.norm(B))
+    if not res <= bound:
+        raise NumericalError(f"{what} solve residual {res:.3e} exceeds n eps (||Y|| ||A|| + ||B||) = {bound:.3e}")
     return Y
 
 
@@ -344,8 +347,9 @@ def sweep_class(
     X_l: np.ndarray | None = None,
 ) -> bool:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
-    in mode "full" only, st.W of class l (0-based) to their updates under the
-    diagonals st.h, st.u, st.v, which are not refreshed; see train for mode.
+    when beta > 0 (at beta = 0 nothing reads W), st.W of class l (0-based) to
+    their updates under the diagonals st.h, st.u, st.v, which are not
+    refreshed; see train for mode.
     The P and D solves are verified (_checked_solve). X_l is the class block
     ds.class_matrix(l + 1), fetched here when not given. Returns whether tau*I
     was added to the analysis system."""
@@ -356,7 +360,7 @@ def sweep_class(
     v = np.ones_like(st.v) if mode == "frobenius" else st.v
     st.S = update_S(X_l, st.D, st.P, st.S, st.u, v, hp.tau)
     st.D = update_D(X_l, st.S, v, hp.tau)
-    if mode == "full":
+    if hp.beta:
         st.W = update_W(X_l, st.P)
     return regularized
 
@@ -577,16 +581,15 @@ def train(
     results bitwise independent of that count. Returns the final D_l, P_l as
     a DictionaryPair, the S_l and W_l, and the history.
 
-    mode "full" runs every update; "reduced" requires beta = lam = 0 and skips
-    the W updates (they no longer enter the objective); "frobenius" is reduced
-    mode with the synthesis-fit reweighting v held at identity, turning the
-    robust reconstruction term into a plain least-squares fit. Raises
-    NumericalError as soon as a P or D solve fails its residual check (see
-    _checked_solve) or the model or relaxed objective is not finite.
+    mode "full" updates W only when beta > 0; "frobenius" requires
+    beta = lam = 0 and holds the synthesis-fit reweighting v at identity,
+    turning the robust reconstruction term into a plain least-squares fit.
+    Raises NumericalError as soon as a P or D solve fails its residual check
+    (see _checked_solve) or the model or relaxed objective is not finite.
     """
-    if mode not in ("full", "reduced", "frobenius"):
+    if mode not in ("full", "frobenius"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("reduced", "frobenius") and (hp.beta != 0.0 or hp.lam != 0.0):
+    if mode == "frobenius" and (hp.beta != 0.0 or hp.lam != 0.0):
         raise ValueError(f"mode {mode!r} requires beta = 0 and lam = 0")
 
     states = init_state(ds, hp)

@@ -4,28 +4,40 @@ import numpy as np
 import pytest
 
 from dictpair import Hyperparams, LabeledDataset, evaluate, make_synthetic, objective_relaxed, train
-from dictpair import baselines
+from dictpair import baselines, solver
 
 from conftest import final_states
 
 
-def test_reduced_matches_full_with_zero_terms():
-    # with beta = lam = 0 the weight blocks never feed back into P, S, or D,
-    # so skipping the W updates changes nothing
+def test_zero_beta_training_ignores_initial_weights(monkeypatch):
+    # at beta = 0 W enters neither the analysis system nor an objective and is
+    # never updated, so where it starts changes nothing else that train returns
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
-    hp = Hyperparams(alpha=0.3, beta=0.0, lam=0.0, atoms_per_class=2, seed=5)
-    pair_red, _, _, hist_red = train(ds, hp, mode="reduced")
-    pair_full, codes_full, weights_full, hist_full = train(ds, hp, mode="full")
-    assert abs(hist_red.objective_model[-1] - hist_full.objective_model[-1]) < 1e-10
-    for l in range(2):
-        np.testing.assert_allclose(pair_red.D[l], pair_full.D[l], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair_red.P[l], pair_full.P[l], rtol=0, atol=1e-12)
+    hp = Hyperparams(alpha=0.3, beta=0.0, lam=1e-3, atoms_per_class=2, seed=5)
+    plain = train(ds, hp)
+    init_state, rng = solver.init_state, np.random.default_rng(3)
+
+    def bumped_init(ds, hp):
+        states = init_state(ds, hp)
+        for st in states:
+            st.W = st.W + rng.standard_normal(st.W.shape)
+        return states
+
+    monkeypatch.setattr(solver, "init_state", bumped_init)
+    bumped = train(ds, hp)
+    (pa, ca, wa, ha), (pb, cb, wb, hb) = plain, bumped
+    blocks = [(pa.P, pb.P), (pa.D, pb.D), (ca.S, cb.S)]
+    assert all(a.tobytes() == b.tobytes() for xs, ys in blocks for a, b in zip(xs, ys, strict=True))
+    assert dataclasses.asdict(ha) == dataclasses.asdict(hb)
+    assert ha.delta_W == [0.0] * ha.iterations_run
+    assert not any(np.array_equal(a, b) for a, b in zip(wa.W, wb.W))
 
 
 def test_reduced_objective_invariant_to_weights():
+    # the reduced objective: beta = lam = 0
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
     hp = Hyperparams(alpha=0.3, beta=0.0, lam=0.0, atoms_per_class=2, seed=5)
-    states = final_states(ds, train(ds, hp, mode="reduced"), hp)
+    states = final_states(ds, train(ds, hp), hp)
     base = objective_relaxed(ds, states, hp)
     rng = np.random.default_rng(3)
     bumped = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states]

@@ -113,19 +113,28 @@ def test_train_huge_tol_single_row(workdir, capsys):
     assert len(rows) == 1
 
 
-def test_train_reduced_mode_rejects_nonzero_beta(workdir, capsys):
+def test_train_frobenius_mode_rejects_nonzero_beta(workdir, capsys):
     run(capsys, *synth_args(workdir / "d"))
-    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model", mode="reduced", beta=0.1))
-    assert rc == 2 and "beta" in err
+    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model", mode="frobenius", beta=0.1, lam=0.0))
+    assert rc == 2 and "error: mode 'frobenius' requires beta = 0" in err
 
 
-def test_train_reduced_mode_defaults_to_zero_terms(workdir, capsys):
+def test_train_rejects_the_retired_reduced_mode(workdir, capsys):
+    # beta = lam = 0 in mode full replaces it
+    run(capsys, *synth_args(workdir / "d"))
+    with pytest.raises(SystemExit) as exc:
+        main(train_args(workdir / "d", workdir / "m.model", mode="reduced", beta=0.0, lam=0.0))
+    assert exc.value.code == 2 and "invalid choice: 'reduced'" in capsys.readouterr().err
+    assert not (workdir / "m.model").exists()
+
+
+def test_train_frobenius_mode_defaults_to_zero_terms(workdir, capsys):
     run(capsys, *synth_args(workdir / "d"))
     rc = main(["train", "--data", f"{workdir}/d.mat", "--labels", f"{workdir}/d.labels",
                "--alpha", "0.3", "--atoms", "2", "--seed", "7", "--tol", "1e-3",
-               "--mode", "reduced", "--model-out", f"{workdir}/m.model"])
-    capsys.readouterr()
-    assert rc == 0
+               "--mode", "frobenius", "--model-out", f"{workdir}/m.model", "--print-config"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "beta=0.0\nlambda=0.0\n" in out
 
 
 def test_train_missing_data_file(workdir, capsys):

@@ -366,7 +366,8 @@ def test_split_counts():
     ds = data.make_synthetic(2, 5, 4, 0.1, 0.0, seed=0)
     train, test = data.split(ds, 2, seed=1)
     assert train.n_samples == 4 and test.n_samples == 4
-    assert train.class_counts() == [2, 2] and test.class_counts() == [2, 2]
+    assert [idx.size for idx in train.per_class] == [2, 2]
+    assert [idx.size for idx in test.per_class] == [2, 2]
 
 
 def test_split_determinism():

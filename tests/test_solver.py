@@ -15,6 +15,7 @@ from dictpair import (
     objective_model,
     objective_relaxed,
     partition_by_class,
+    split,
     surrogate_relaxed,
     train,
 )
@@ -203,7 +204,7 @@ def test_ratio_guard_on_positive_definite_system_takes_tau_and_lu(rng):
     P, regularized = solver.update_P(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
     assert regularized
     assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
-    history = train(ds, hp, mode="reduced")[3]
+    history = train(ds, hp)[3]
     assert history.tau_regularized == ds.n_classes * history.iterations_run > 0
 
 
@@ -558,7 +559,7 @@ def test_train_structure_invariants(trained_standard):
 
 
 def test_train_self_check_mode(standard_split, standard_hp):
-    # train raises on any solve residual above 1e-8 relative, every iteration
+    # train raises on any solve that fails the backward-error check, every iteration
     train_ds, _ = standard_split
     history = train(train_ds, standard_hp)[3]
     assert history.tau_regularized == 0
@@ -572,13 +573,28 @@ def test_train_self_check_mode(standard_split, standard_hp):
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
 def test_train_self_check_presets(request, preset, data):
     # on this data the analysis systems of ar, pie, scene15 and yaleb reach cond(A)
-    # of 1e11-1.2e12; one LU solve per system must still pass the 1e-8 residual check
+    # of 1e11-1.2e12; every solve must still pass the backward-error check
     train_ds, _ = request.getfixturevalue(f"{data}_split")
     alpha, beta, lam = PRESETS[preset]
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
     history = train(train_ds, hp)[3]
     assert history.iterations_run >= 1
+
+
+def test_solve_check_accepts_backward_stable_solves_at_high_condition():
+    # three noisy 3-dimensional subspaces of R^20 at alpha = 1e-3 give analysis
+    # systems conditioned past 1e8, whose backward-stable solves leave residuals
+    # above 1e-8 ||B||: only a bound scaled by ||Y|| ||A|| accepts them
+    rng = np.random.default_rng(9)
+    blocks = []
+    for _ in range(3):
+        basis = np.linalg.qr(rng.standard_normal((20, 3)))[0]
+        blocks.append(basis @ rng.standard_normal((3, 25)) + 0.1 * rng.standard_normal((20, 25)))
+    ds = partition_by_class(np.hstack(blocks), np.repeat([1, 2, 3], 25))
+    train_ds, _ = split(ds, 15, 109)
+    hp = Hyperparams(alpha=1e-3, beta=0.0, lam=0.0, atoms_per_class=3, seed=4)
+    assert train(train_ds, hp, mode="frobenius")[3].tau_regularized == 0
 
 
 def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monkeypatch):
@@ -654,12 +670,14 @@ def test_failed_solve_raises_naming_it(standard_split, standard_hp, monkeypatch,
         solver.update_D(X_l, st.S, st.v, standard_hp.tau)
 
 
-@pytest.mark.parametrize("mode", ["full", "reduced", "frobenius"])
-def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_hp, mode):
+@pytest.mark.parametrize("setting", ["full", "reduced", "frobenius"])
+def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_hp, setting):
+    # "reduced" is mode full at beta = lam = 0, where W is never updated
     train_ds, _ = standard_split
     hp = dataclasses.replace(standard_hp, max_iter=1)
-    if mode != "full":
+    if setting != "full":
         hp = dataclasses.replace(hp, beta=0.0, lam=0.0)
+    mode = "frobenius" if setting == "frobenius" else "full"
     pair, codes, weights, history = train(train_ds, hp, mode=mode)
     states = init_state(train_ds, hp)
     # explicit copies, independent of the old blocks train's class step keeps
@@ -676,7 +694,7 @@ def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_
     assert history.objective_relaxed == [objective_relaxed(train_ds, states, hp)]
 
 
-@pytest.mark.parametrize("mode", ["full", "reduced", "frobenius"])
+@pytest.mark.parametrize("mode", ["full", "frobenius"])
 def test_sweep_never_writes_into_state_arrays(standard_split, standard_hp, mode):
     # train's class step keeps the replaced blocks by reference to take its
     # deltas, which holds only while every update returns a new array; a write
@@ -744,16 +762,31 @@ def test_train_objective_monotone_after_first(trained_standard):
 def test_train_mode_validation(standard_split, standard_hp):
     train_ds, _ = standard_split
     with pytest.raises(ValueError, match="requires beta"):
-        train(train_ds, standard_hp, mode="reduced")
-    with pytest.raises(ValueError, match="unknown mode"):
-        train(train_ds, standard_hp, mode="fancy")
+        train(train_ds, standard_hp, mode="frobenius")
+    for mode in ("reduced", "fancy"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            train(train_ds, dataclasses.replace(standard_hp, beta=0.0, lam=0.0), mode=mode)
+
+
+@pytest.mark.parametrize("mode, beta, lam", [("full", 0.01, 1e-3), ("full", 0.0, 1e-3), ("frobenius", 0.0, 0.0)])
+def test_train_updates_W_exactly_when_beta_is_positive(standard_split, standard_hp, monkeypatch, mode, beta, lam):
+    train_ds, _ = standard_split
+    update_W, calls = solver.update_W, []
+    monkeypatch.setattr(solver, "update_W", lambda X_l, P_l: calls.append(X_l.shape) or update_W(X_l, P_l))
+    hp = dataclasses.replace(standard_hp, beta=beta, lam=lam, max_iter=3, tol=1e-300)
+    history = train(train_ds, hp, mode=mode)[3]
+    assert history.iterations_run == 3
+    if beta:
+        assert len(calls) == train_ds.n_classes * 3 and min(history.delta_W) > 0.0
+    else:
+        assert calls == [] and history.delta_W == [0.0] * 3
 
 
 def test_reduced_objective_ignores_weights(standard_split):
     # with beta = lam = 0 the relaxed objective has no W dependence at all
     train_ds, _ = standard_split
     hp = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, atoms_per_class=2, seed=10)
-    states = final_states(train_ds, train(train_ds, hp, mode="reduced"), hp)
+    states = final_states(train_ds, train(train_ds, hp), hp)
     base = objective_relaxed(train_ds, states, hp)
     rng = np.random.default_rng(0)
     perturbed = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states]
@@ -831,7 +864,8 @@ def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
     alpha, beta, lam = PRESETS.get(setting, (base["alpha"], 0.0, 0.0))
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
-    mode = setting if setting in ("reduced", "frobenius") else "full"
+    # "reduced" is mode full at beta = lam = 0
+    mode = "frobenius" if setting == "frobenius" else "full"
     threads = threading.active_count()
     serial = train_at(monkeypatch, 1, train_ds, hp, mode=mode)
     parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
