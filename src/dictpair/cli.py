@@ -343,7 +343,7 @@ def cmd_gradcheck(args) -> int:
         ds, states, hp_s = _sweep_instance(SWEEP_SEED_BASE + inst)
         s0 = solver.surrogate_relaxed(ds, states, hp_s)
         for l, st in enumerate(states):
-            solver.sweep_class(ds, l, st, hp_s)
+            solver.sweep_class(ds, ds.class_matrix(l + 1), st, hp_s)
         s1 = solver.surrogate_relaxed(ds, states, hp_s)
         worst = max(worst, (s1 - s0) / max(abs(s0), 1e-30))
     record("sweep-surrogate-monotone", worst <= 1e-8, f"worst relative increase {worst:.3e}")

@@ -33,13 +33,13 @@ diagonals: code means from the current P_l, analysis block P_l (n x n linear
 solve, see analysis_system), codes S_l (multiplicative rule), synthesis block
 D_l (ridge solve + column-sum normalization) and, when beta > 0, weights W_l
 (the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
-inverse; see update_W). It then refreshes that class's three reweighting
-diagonals and returns the class's squared block changes and its terms of both
-objectives: the reconstruction terms of each (_model_fit, _relaxed_fit) and,
-computed once, the terms they share (_shared_terms). objective_model,
-objective_relaxed and surrogate_relaxed are three calls of one class loop
-(_score); the first two add up the same per-class functions as the class
-step. The loop stops when the model objective changes by less than tol
+inverse; see update_W). It then refreshes that class's reweighting diagonals
+(v only in mode "full") and returns the class's squared block changes and its
+terms of both objectives: the reconstruction terms of each (_model_fit,
+_relaxed_fit) and, computed once, the terms they share (_shared_terms).
+objective_model, objective_relaxed and surrogate_relaxed are three calls of
+one class loop (_score); the first two add up the same per-class functions as
+the class step. The loop stops when the model objective changes by less than tol
 between consecutive sweeps.
 
 Class parallelism: the calling thread and _worker_count() - 1 helper threads
@@ -338,28 +338,16 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     return np.eye(N_l) - M_inv / np.diag(M_inv)
 
 
-def sweep_class(
-    ds: LabeledDataset,
-    l: int,
-    st: ClassState,
-    hp: Hyperparams,
-    mode: str = "full",
-    X_l: np.ndarray | None = None,
-) -> bool:
+def sweep_class(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams) -> bool:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
-    when beta > 0 (at beta = 0 nothing reads W), st.W of class l (0-based) to
-    their updates under the diagonals st.h, st.u, st.v, which are not
-    refreshed; see train for mode.
-    The P and D solves are verified (_checked_solve). X_l is the class block
-    ds.class_matrix(l + 1), fetched here when not given. Returns whether tau*I
-    was added to the analysis system."""
-    if X_l is None:
-        X_l = ds.class_matrix(l + 1)
+    when beta > 0 (at beta = 0 nothing reads W), st.W of the class whose block
+    is X_l to their updates under the diagonals st.h, st.u, st.v, which are
+    not refreshed. The P and D solves are verified (_checked_solve). Returns
+    whether tau*I was added to the analysis system."""
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
     st.P, regularized = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
-    v = np.ones_like(st.v) if mode == "frobenius" else st.v
-    st.S = update_S(X_l, st.D, st.P, st.S, st.u, v, hp.tau)
-    st.D = update_D(X_l, st.S, v, hp.tau)
+    st.S = update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
+    st.D = update_D(X_l, st.S, st.v, hp.tau)
     if hp.beta:
         st.W = update_W(X_l, st.P)
     return regularized
@@ -483,7 +471,7 @@ def _linked_blas() -> str:
     """Name of the BLAS NumPy was built against, in lower case, or "" where
     this NumPy does not report it."""
     try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+        return np.show_config("dicts")["Build Dependencies"]["blas"]["name"].lower()
     except (TypeError, KeyError, AttributeError):
         return ""
 
@@ -554,14 +542,17 @@ def _map_classes(step, c: int, workers: int) -> list:
 
 
 def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str):
-    """One iteration of class l on its record: sweep_class, update_reweights,
-    then the squared changes of P, S, D, W and the class's objective terms
-    (model, relaxed), each tuple in the order its objective adds them up.
-    Returns (tau*I added, squared changes, terms)."""
+    """One iteration of class l on its record: sweep_class, update_reweights
+    (in mode "frobenius" st.v is not refreshed and keeps init_state's
+    identity), then the squared changes of P, S, D, W and the class's
+    objective terms (model, relaxed), each tuple in the order its objective
+    adds them up. Returns (tau*I added, squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
-    regularized = sweep_class(ds, l, st, hp, mode, X_l=X_l)
-    st.h, st.u, st.v = update_reweights(X_l, st.D, st.P, st.S, hp.tau)
+    regularized = sweep_class(ds, X_l, st, hp)
+    st.h, st.u, v = update_reweights(X_l, st.D, st.P, st.S, hp.tau)
+    if mode == "full":
+        st.v = v
     # each difference is taken in C order, whatever the memory order of the blocks
     squared = tuple(
         np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
@@ -581,9 +572,10 @@ def train(
     results bitwise independent of that count. Returns the final D_l, P_l as
     a DictionaryPair, the S_l and W_l, and the history.
 
-    mode "full" updates W only when beta > 0; "frobenius" requires
-    beta = lam = 0 and holds the synthesis-fit reweighting v at identity,
-    turning the robust reconstruction term into a plain least-squares fit.
+    W is updated exactly when beta > 0. mode "frobenius" requires
+    beta = lam = 0 and never refreshes the synthesis-fit reweighting v, so
+    every record keeps init_state's identity v, turning the robust
+    reconstruction term into a plain least-squares fit.
     Raises NumericalError as soon as a P or D solve fails its residual check
     (see _checked_solve) or the model or relaxed objective is not finite.
     """

@@ -50,7 +50,7 @@ def test_criterion_2_frozen_sweep_monotonicity():
         ds, states, hp = _sweep_instance(seed)
         before = surrogate_relaxed(ds, states, hp)
         for l, st in enumerate(states):
-            solver.sweep_class(ds, l, st, hp)
+            solver.sweep_class(ds, ds.class_matrix(l + 1), st, hp)
         after = surrogate_relaxed(ds, states, hp)
         worst = max(worst, (after - before) / abs(before))
     elapsed = time.monotonic() - t0
@@ -104,13 +104,12 @@ def test_criterion_5_ablation_ordering(corrupt_split, corrupt_hp):
     }
     for name, acc in ablated.items():
         assert full >= acc, f"full {full} < {name} {acc}"
-    reduced_pair = train(train_ds, dataclasses.replace(corrupt_hp, beta=0.0, lam=0.0))[0]
-    reduced = evaluate(test_ds, reduced_pair).accuracy
-    assert full >= reduced
+    beta0_lambda0 = accuracy_for(dataclasses.replace(corrupt_hp, beta=0.0, lam=0.0))
+    assert full >= beta0_lambda0
     report(
         "5 ablation-ordering",
         f"full {full:.3f} >= " + ", ".join(f"{k} {v:.3f}" for k, v in ablated.items())
-        + f", reduced {reduced:.3f}",
+        + f", beta0-lambda0 {beta0_lambda0:.3f}",
     )
 
 
@@ -136,6 +135,7 @@ def test_criterion_7_weight_invariance():
     rng = np.random.default_rng(0)
     bumped = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states]
     assert objective_relaxed(ds, bumped, hp) == base
+    assert base >= 0.0
     report("7 weight-invariance", "relaxed objective at beta = lam = 0 unchanged by a W perturbation")
 
 

@@ -20,7 +20,7 @@ from dictpair import (
     train,
 )
 from dictpair import solver
-from dictpair.cli import PRESETS, SWEEP_SEED_BASE, _minimize_weights_gd, _sweep_instance
+from dictpair.cli import PRESETS, _minimize_weights_gd
 from dictpair.model import ClassState, init_state
 
 from conftest import CORRUPT_HP, STANDARD_HP, final_states
@@ -313,26 +313,28 @@ def test_update_S_unit_ratio_fixed_point(rng):
     np.testing.assert_allclose(out, X, rtol=1e-15)
 
 
-def code_surrogate(X, D, P, S, u, v):
-    R1 = X - D @ S
-    R2 = S - P @ X
-    return 2.0 * float(np.sum((R1 * R1) * v)) + 2.0 * float(np.sum((R2 * R2) * u))
-
-
 def test_update_S_surrogate_monotone():
-    # nonnegative instances with fixed diagonals: ten consecutive updates never increase
+    # nonnegative instances with fixed diagonals: ten consecutive updates never
+    # increase surrogate_relaxed of one class at alpha = beta = lam = 0, that
+    # is its two fit terms
+    hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=3)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         X = rng.uniform(0.2, 1.0, (4, 6))
-        D = np.abs(rng.standard_normal((4, 3)))
-        P = np.abs(rng.standard_normal((3, 4)))
-        S = np.abs(rng.standard_normal((3, 6)))
-        u = rng.uniform(0.5, 2.0, 6)
-        v = rng.uniform(0.5, 2.0, 6)
-        prev = code_surrogate(X, D, P, S, u, v)
+        ds = partition_by_class(X, np.ones(6, dtype=int))
+        st = ClassState(
+            D=np.abs(rng.standard_normal((4, 3))),
+            P=np.abs(rng.standard_normal((3, 4))),
+            S=np.abs(rng.standard_normal((3, 6))),
+            W=np.zeros((6, 6)),
+            h=np.ones(4),
+            u=rng.uniform(0.5, 2.0, 6),
+            v=rng.uniform(0.5, 2.0, 6),
+        )
+        prev = surrogate_relaxed(ds, [st], hp)
         for _ in range(10):
-            S = solver.update_S(X, D, P, S, u, v, 1e-6)
-            cur = code_surrogate(X, D, P, S, u, v)
+            st.S = solver.update_S(X, st.D, st.P, st.S, st.u, st.v, 1e-6)
+            cur = surrogate_relaxed(ds, [st], hp)
             assert cur <= prev * (1.0 + 1e-12)
             prev = cur
 
@@ -558,7 +560,7 @@ def test_train_structure_invariants(trained_standard):
     assert history.converged
 
 
-def test_train_self_check_mode(standard_split, standard_hp):
+def test_train_verifies_every_solve_on_both_guard_paths(standard_split, standard_hp):
     # train raises on any solve that fails the backward-error check, every iteration
     train_ds, _ = standard_split
     history = train(train_ds, standard_hp)[3]
@@ -619,7 +621,7 @@ def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monke
     assert [T.shape for T in calls] == [(st.S.shape[0],) * 2]
 
 
-def test_train_self_check_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
+def test_train_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
     # every solve off by 1e-3 relative leaves a residual near 1e-3 relative
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
@@ -670,9 +672,30 @@ def test_failed_solve_raises_naming_it(standard_split, standard_hp, monkeypatch,
         solver.update_D(X_l, st.S, st.v, standard_hp.tau)
 
 
-@pytest.mark.parametrize("setting", ["full", "reduced", "frobenius"])
+def iterate_by_hand(ds, states, hp, mode):
+    """One training iteration written out: sweep_class, then update_reweights,
+    whose v is kept only in mode full."""
+    for l, st in enumerate(states):
+        X_l = ds.class_matrix(l + 1)
+        solver.sweep_class(ds, X_l, st, hp)
+        st.h, st.u, v = solver.update_reweights(X_l, st.D, st.P, st.S, hp.tau)
+        if mode == "full":
+            st.v = v
+
+
+def records_after(monkeypatch, ds, hp, mode, iterations):
+    """The ClassState records that `iterations` iterations of train leave,
+    captured through solver.init_state."""
+    records = []
+    monkeypatch.setattr(solver, "init_state", lambda ds, hp: records.extend(init_state(ds, hp)) or records)
+    history = train(ds, dataclasses.replace(hp, max_iter=iterations, tol=1e-300), mode=mode)[3]
+    assert history.iterations_run == iterations
+    return records
+
+
+@pytest.mark.parametrize("setting", ["full", "beta0-lambda0", "frobenius"])
 def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_hp, setting):
-    # "reduced" is mode full at beta = lam = 0, where W is never updated
+    # mode full at beta = lam = 0 never updates W
     train_ds, _ = standard_split
     hp = dataclasses.replace(standard_hp, max_iter=1)
     if setting != "full":
@@ -682,9 +705,7 @@ def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_
     states = init_state(train_ds, hp)
     # explicit copies, independent of the old blocks train's class step keeps
     old = {name: [getattr(st, name).copy() for st in states] for name in "PSDW"}
-    for l, st in enumerate(states):
-        solver.sweep_class(train_ds, l, st, hp, mode)
-        st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
+    iterate_by_hand(train_ds, states, hp, mode)
     for got, name in [(pair.P, "P"), (pair.D, "D"), (codes.S, "S"), (weights.W, "W")]:
         want = [getattr(st, name) for st in states]
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -706,9 +727,7 @@ def test_sweep_never_writes_into_state_arrays(standard_split, standard_hp, mode)
         for st in states:
             for name in "DPSWhuv":
                 getattr(st, name).flags.writeable = False
-        for l, st in enumerate(states):
-            solver.sweep_class(train_ds, l, st, hp, mode)
-            st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
+        iterate_by_hand(train_ds, states, hp, mode)
 
 
 def test_train_fetches_each_class_block_once_per_iteration(standard_split, standard_hp, monkeypatch):
@@ -782,62 +801,49 @@ def test_train_updates_W_exactly_when_beta_is_positive(standard_split, standard_
         assert calls == [] and history.delta_W == [0.0] * 3
 
 
-def test_reduced_objective_ignores_weights(standard_split):
-    # with beta = lam = 0 the relaxed objective has no W dependence at all
+def test_frobenius_training_keeps_v_at_identity(standard_split, standard_hp, monkeypatch):
+    # the sweep and surrogate_relaxed read the record's v; mode frobenius never
+    # refreshes it, so it stays init_state's identity, while h and u move
     train_ds, _ = standard_split
-    hp = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, atoms_per_class=2, seed=10)
-    states = final_states(train_ds, train(train_ds, hp), hp)
-    base = objective_relaxed(train_ds, states, hp)
-    rng = np.random.default_rng(0)
-    perturbed = [dataclasses.replace(st, W=st.W + rng.standard_normal(st.W.shape)) for st in states]
-    assert objective_relaxed(train_ds, perturbed, hp) == base
+    hp = dataclasses.replace(standard_hp, beta=0.0, lam=0.0)
+    for st in records_after(monkeypatch, train_ds, hp, "frobenius", 3):
+        assert np.array_equal(st.v, np.ones(st.v.shape))
+        assert not np.array_equal(st.u, np.ones(st.u.shape))
 
 
 # --- frozen-diagonal sweep ---------------------------------------------------
 
 @pytest.mark.parametrize("sweeps", range(1, 6))
-def test_P_and_W_steps_never_raise_the_surrogate(corrupt_split, corrupt_hp, sweeps):
-    # after a few shipped sweeps D and P have signed entries; one more sweep,
-    # stepped through under frozen diagonals, must not let the P step (an exact
-    # block minimizer at lam = 0) or the W step raise the surrogate
+def test_P_and_W_steps_never_raise_the_surrogate(corrupt_split, corrupt_hp, monkeypatch, sweeps):
+    # after a few training iterations D and P have signed entries; one more
+    # sweep, stepped through under frozen diagonals, must not let the P step (an
+    # exact block minimizer at lam = 0) or the W step raise the surrogate. In
+    # mode frobenius (beta = 0, v held at identity) W is not updated, and the
+    # S and D steps can raise the surrogate, so only the P step is checked
     train_ds, _ = corrupt_split
-    hp = dataclasses.replace(corrupt_hp, lam=0.0)
-    states = init_state(train_ds, hp)
-    for _ in range(sweeps):
+    for mode, beta in [("full", corrupt_hp.beta), ("frobenius", 0.0)]:
+        hp = dataclasses.replace(corrupt_hp, beta=beta, lam=0.0)
+        states = records_after(monkeypatch, train_ds, hp, mode, sweeps)
+        rises = []
+
+        def rise(before):
+            after = surrogate_relaxed(train_ds, states, hp)
+            rises.append((after - before) / abs(before))
+
         for l, st in enumerate(states):
-            solver.sweep_class(train_ds, l, st, hp)
-            st.h, st.u, st.v = solver.update_reweights(train_ds.class_matrix(l + 1), st.D, st.P, st.S, hp.tau)
-    rises = []
-
-    def rise(before):
-        after = surrogate_relaxed(train_ds, states, hp)
-        rises.append((after - before) / abs(before))
-
-    for l, st in enumerate(states):
-        X_l = train_ds.class_matrix(l + 1)
-        m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
-        before = surrogate_relaxed(train_ds, states, hp)
-        st.P, regularized = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
-        assert not regularized
-        rise(before)
-        st.S = solver.update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
-        st.D = solver.update_D(X_l, st.S, st.v, hp.tau)
-        before = surrogate_relaxed(train_ds, states, hp)
-        st.W = solver.update_W(X_l, st.P)
-        rise(before)
-    assert max(rises) <= 1e-10, rises
-
-
-def test_sweep_monotone_on_pinned_instances():
-    worst = -np.inf
-    for seed in range(SWEEP_SEED_BASE, SWEEP_SEED_BASE + 20):
-        ds, states, hp = _sweep_instance(seed)
-        before = surrogate_relaxed(ds, states, hp)
-        for l, st in enumerate(states):
-            solver.sweep_class(ds, l, st, hp)
-        after = surrogate_relaxed(ds, states, hp)
-        worst = max(worst, (after - before) / abs(before))
-    assert worst <= 1e-8
+            X_l = train_ds.class_matrix(l + 1)
+            m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
+            before = surrogate_relaxed(train_ds, states, hp)
+            st.P, regularized = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
+            assert not regularized
+            rise(before)
+            st.S = solver.update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
+            st.D = solver.update_D(X_l, st.S, st.v, hp.tau)
+            if hp.beta:
+                before = surrogate_relaxed(train_ds, states, hp)
+                st.W = solver.update_W(X_l, st.P)
+                rise(before)
+        assert max(rises) <= 1e-10, (mode, rises)
 
 
 # --- class-parallel training -------------------------------------------------
@@ -857,14 +863,13 @@ def same_training(a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("setting", sorted(PRESETS) + ["reduced", "frobenius"])
+@pytest.mark.parametrize("setting", sorted(PRESETS) + ["beta0-lambda0", "frobenius"])
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
 def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting, data):
     train_ds, _ = request.getfixturevalue(f"{data}_split")
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
     alpha, beta, lam = PRESETS.get(setting, (base["alpha"], 0.0, 0.0))
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
-    # "reduced" is mode full at beta = lam = 0
     mode = "frobenius" if setting == "frobenius" else "full"
     threads = threading.active_count()
     serial = train_at(monkeypatch, 1, train_ds, hp, mode=mode)
