@@ -31,7 +31,6 @@ from .model import (
 )
 from .solver import (
     TrainHistory,
-    numeric_gradient,
     objective_model,
     objective_relaxed,
     surrogate_relaxed,
@@ -57,7 +56,6 @@ __all__ = [
     "load_model",
     "make_synthetic",
     "normalize_unit_l2",
-    "numeric_gradient",
     "objective_model",
     "objective_relaxed",
     "partition_by_class",

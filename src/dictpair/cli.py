@@ -244,6 +244,18 @@ def cmd_inspect(args) -> int:
 GD_PATIENCE = 50
 
 
+def numeric_gradient(f, M: np.ndarray, h: float) -> np.ndarray:
+    """Entrywise central-difference gradient of a scalar matrix function."""
+    if h <= 0:
+        raise ValueError("step h must be > 0")
+    G = np.zeros(M.shape)
+    for idx in np.ndindex(M.shape):
+        E = np.zeros(M.shape)
+        E[idx] = h
+        G[idx] = (f(M + E) - f(M - E)) / (2.0 * h)
+    return G
+
+
 def _minimize_weights_gd(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     """Plain gradient descent with backtracking on solver.weight_term over the
     matrices with diag(W) = 0 (the gradient's diagonal is zeroed), for at most
@@ -290,12 +302,12 @@ def cmd_gradcheck(args) -> int:
 
     # gradient oracle on a quadratic: f(M) = ||M||_F^2, grad = 2M
     M = rng.standard_normal((3, 4))
-    G = solver.numeric_gradient(lambda A: float(np.sum(A * A)), M, 1e-6)
+    G = numeric_gradient(lambda A: float(np.sum(A * A)), M, 1e-6)
     err = float(np.abs(G - 2.0 * M).max())
     record("gradient-quadratic", err < 1e-6, f"max entry error {err:.3e}")
 
     # gradient oracle on a linear map: f(M) = sum(M), grad = all-ones
-    G = solver.numeric_gradient(lambda A: float(np.sum(A)), M, 1e-6)
+    G = numeric_gradient(lambda A: float(np.sum(A)), M, 1e-6)
     err = float(np.abs(G - 1.0).max())
     record("gradient-linear", err < 1e-6, f"max entry error {err:.3e}")
 
@@ -304,7 +316,7 @@ def cmd_gradcheck(args) -> int:
     X_l = rng.uniform(1.0, 2.0, (4, 3))
     P_l = rng.standard_normal((2, 4))
     W = solver.update_W(X_l, P_l)
-    grad = solver.numeric_gradient(lambda V: solver.weight_term(X_l, P_l, V), W, 1e-5)
+    grad = numeric_gradient(lambda V: solver.weight_term(X_l, P_l, V), W, 1e-5)
     gnorm = float(np.linalg.norm(grad[~np.eye(3, dtype=bool)]))
     bound = 1e-5 * (1.0 + float(np.linalg.norm(W)))
     record("weights-stationarity", gnorm < bound, f"gradient norm {gnorm:.3e} vs bound {bound:.3e}")

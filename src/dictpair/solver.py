@@ -33,13 +33,14 @@ diagonals: code means from the current P_l, analysis block P_l (n x n linear
 solve, see analysis_system), codes S_l (multiplicative rule), synthesis block
 D_l (ridge solve + column-sum normalization) and, when beta > 0, weights W_l
 (the exact minimizer of the weight term on diag(W_l) = 0, one N_l x N_l
-inverse; see update_W). It then refreshes that class's reweighting diagonals
-(v only in mode "full") and returns the class's squared block changes and its
-terms of both objectives: the reconstruction terms of each (_model_fit,
-_relaxed_fit) and, computed once, the terms they share (_shared_terms).
-objective_model, objective_relaxed and surrogate_relaxed are three calls of
-one class loop (_score); the first two add up the same per-class functions as
-the class step. The loop stops when the model objective changes by less than tol
+inverse; see update_W). It then forms the row norms of the relaxed problem's
+three l2,1 terms once (relaxed_row_norms), refreshes the diagonals from them
+(update_reweights; v only in mode "full") and returns the class's squared
+block changes and its terms of both objectives: the model fit (_model_fit),
+the relaxed fits as sums of those norms (_relaxed_fit) and the terms both
+share (_shared_terms). objective_model, objective_relaxed and
+surrogate_relaxed are three calls of one class loop (_score) over the same
+functions. The loop stops when the model objective changes by less than tol
 between consecutive sweeps.
 
 Class parallelism: the calling thread and _worker_count() - 1 helper threads
@@ -113,16 +114,15 @@ class TrainHistory:
     tau_regularized: int = 0
 
 
-def smoothed_row_norms(R: np.ndarray, tau: float) -> np.ndarray:
-    """Per-row 2*||row||_2 + tau; strictly positive for tau > 0."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    return 2.0 * np.sqrt(np.sum(R * R, axis=1)) + tau
+def row_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of R; their sum is ||R||_21."""
+    return np.sqrt(np.sum(R * R, axis=1))
 
 
-def row_norm_sum(R: np.ndarray) -> float:
-    """Unsmoothed ||R||_21: the sum of Euclidean row norms."""
-    return float(np.sum(np.sqrt(np.sum(R * R, axis=1))))
+def relaxed_row_norms(X_l: np.ndarray, D_l: np.ndarray, P_l: np.ndarray, S_l: np.ndarray) -> tuple:
+    """Row norms of P_l', S_l' - X_l' P_l' and X_l' - S_l' D_l': the relaxed
+    problem's three l2,1 terms, in the order of their diagonals h, u, v."""
+    return row_norms(P_l.T), row_norms(S_l.T - X_l.T @ P_l.T), row_norms(X_l.T - S_l.T @ D_l.T)
 
 
 def compute_means(
@@ -143,19 +143,15 @@ def compute_means(
     return m, P_l @ (x - class_sum) / (N - N_l)
 
 
-def update_reweights(
-    X_l: np.ndarray, D_l: np.ndarray, P_l: np.ndarray, S_l: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Refresh the three reweighting diagonals from the current blocks.
+def update_reweights(norms: tuple, tau: float) -> tuple:
+    """The reweighting diagonals (h, u, v) from relaxed_row_norms: a row of
+    norm r gets 1 / (2 r + tau), that is
 
     h_i = 1 / (2||column i of P_l|| + tau)            (length n)
     u_i = 1 / (2||row i of S_l' - X_l' P_l'|| + tau)  (length N_l)
     v_i = 1 / (2||row i of X_l' - S_l' D_l'|| + tau)  (length N_l)
     """
-    h = 1.0 / smoothed_row_norms(P_l.T, tau)
-    u = 1.0 / smoothed_row_norms(S_l.T - X_l.T @ P_l.T, tau)
-    v = 1.0 / smoothed_row_norms(X_l.T - S_l.T @ D_l.T, tau)
-    return h, u, v
+    return tuple(1.0 / (2.0 * r + tau) for r in norms)
 
 
 def _cholesky_guard(A: np.ndarray) -> np.ndarray | None:
@@ -381,20 +377,22 @@ def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
     return total
 
 
-def _shared_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams) -> tuple:
+def _shared_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, p_norms) -> tuple:
     """Class l's terms that the model and relaxed objectives share, in the
-    order both add them up: alpha * ||P_l'||_21 and the penalties."""
-    return (hp.alpha * row_norm_sum(st.P.T), _penalties(ds, X_l, st.P, st.W, hp))
+    order both add them up: alpha * ||P_l'||_21, from p_norms (the row norms
+    of P_l'), and the penalties."""
+    return hp.alpha * float(np.sum(p_norms)), _penalties(ds, X_l, st.P, st.W, hp)
 
 
 def _model_fit(X_l: np.ndarray, st: ClassState) -> tuple:
     """Class l's reconstruction term of the model objective (through P then D)."""
-    return (row_norm_sum(X_l.T - X_l.T @ st.P.T @ st.D.T),)
+    return (float(np.sum(row_norms(X_l.T - X_l.T @ st.P.T @ st.D.T))),)
 
 
-def _relaxed_fit(X_l: np.ndarray, st: ClassState) -> tuple:
-    """Class l's two fit terms of the relaxed objective (synthesis, then analysis)."""
-    return (row_norm_sum(X_l.T - st.S.T @ st.D.T), row_norm_sum(st.S.T - X_l.T @ st.P.T))
+def _relaxed_fit(norms: tuple) -> tuple:
+    """Class l's two fit terms of the relaxed objective (synthesis, then
+    analysis) from its relaxed_row_norms."""
+    return float(np.sum(norms[2])), float(np.sum(norms[1]))
 
 
 def _add_up(terms) -> float:
@@ -415,13 +413,20 @@ def _score(ds: LabeledDataset, states: list[ClassState], class_terms) -> float:
 
 def objective_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
-    return _score(ds, states, lambda X_l, st: _relaxed_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
+
+    def class_terms(X_l: np.ndarray, st: ClassState) -> tuple:
+        norms = relaxed_row_norms(X_l, st.D, st.P, st.S)
+        return _relaxed_fit(norms) + _shared_terms(ds, X_l, st, hp, norms[0])
+
+    return _score(ds, states, class_terms)
 
 
 def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Model objective with codes eliminated (reconstruction through P then D);
     the records' S and diagonals are not read."""
-    return _score(ds, states, lambda X_l, st: _model_fit(X_l, st) + _shared_terms(ds, X_l, st, hp))
+    return _score(
+        ds, states, lambda X_l, st: _model_fit(X_l, st) + _shared_terms(ds, X_l, st, hp, row_norms(st.P.T))
+    )
 
 
 def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
@@ -433,32 +438,15 @@ def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperpar
     diag(W_l) = 0) minimize it over their block."""
 
     def class_terms(X_l: np.ndarray, st: ClassState) -> tuple:
-        R1 = X_l - st.D @ st.S
-        R2 = st.S - st.P @ X_l
+        r_h, r_u, r_v = relaxed_row_norms(X_l, st.D, st.P, st.S)
         return (
-            2.0 * float(np.sum((R1 * R1) * st.v)),
-            2.0 * float(np.sum((R2 * R2) * st.u)),
-            hp.alpha * 2.0 * float(np.sum((st.P * st.P) * st.h)),
+            2.0 * float(np.sum(st.v * r_v**2)),
+            2.0 * float(np.sum(st.u * r_u**2)),
+            hp.alpha * 2.0 * float(np.sum(st.h * r_h**2)),
             _penalties(ds, X_l, st.P, st.W, hp),
         )
 
     return _score(ds, states, class_terms)
-
-
-def numeric_gradient(f, M: np.ndarray, h: float) -> np.ndarray:
-    """Entrywise central-difference gradient of a scalar matrix function."""
-    if h <= 0:
-        raise ValueError("step h must be > 0")
-    G = np.zeros_like(M, dtype=float)
-    it = np.nditer(M, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        Mp = M.copy()
-        Mp[idx] += h
-        Mm = M.copy()
-        Mm[idx] -= h
-        G[idx] = (f(Mp) - f(Mm)) / (2.0 * h)
-    return G
 
 
 def _finite(value: float, what: str) -> float:
@@ -543,22 +531,23 @@ def _map_classes(step, c: int, workers: int) -> list:
 
 def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str):
     """One iteration of class l on its record: sweep_class, update_reweights
-    (in mode "frobenius" st.v is not refreshed and keeps init_state's
-    identity), then the squared changes of P, S, D, W and the class's
-    objective terms (model, relaxed), each tuple in the order its objective
-    adds them up. Returns (tau*I added, squared changes, terms)."""
+    on the new blocks' relaxed_row_norms (in mode "frobenius" st.v is not
+    refreshed and keeps init_state's identity), then the squared changes of P,
+    S, D, W and the class's objective terms (model, relaxed), each tuple in the
+    order its objective adds them up. Returns (tau*I added, squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
     regularized = sweep_class(ds, X_l, st, hp)
-    st.h, st.u, v = update_reweights(X_l, st.D, st.P, st.S, hp.tau)
+    norms = relaxed_row_norms(X_l, st.D, st.P, st.S)
+    st.h, st.u, v = update_reweights(norms, hp.tau)
     if mode == "full":
         st.v = v
     # each difference is taken in C order, whatever the memory order of the blocks
     squared = tuple(
         np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
     )
-    shared = _shared_terms(ds, X_l, st, hp)
-    return regularized, squared, (_model_fit(X_l, st) + shared, _relaxed_fit(X_l, st) + shared)
+    shared = _shared_terms(ds, X_l, st, hp, norms[0])
+    return regularized, squared, (_model_fit(X_l, st) + shared, _relaxed_fit(norms) + shared)
 
 
 def train(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dictpair import ClassState, Hyperparams, make_synthetic, split, train
-from dictpair.solver import update_reweights
+from dictpair.solver import relaxed_row_norms, update_reweights
 
 STANDARD_HP = dict(alpha=1.0, beta=0.01, lam=1e-3, tau=1e-6, atoms_per_class=2, seed=10)
 CORRUPT_HP = dict(alpha=1.0, beta=0.01, lam=1e-3, tau=1e-6, atoms_per_class=2, seed=4)
@@ -24,7 +24,9 @@ def final_states(ds, trained, hp):
     diagonals update_reweights computed from them."""
     pair, codes, weights, _ = trained
     return [
-        ClassState(D_l, P_l, S_l, W_l, *update_reweights(ds.class_matrix(l), D_l, P_l, S_l, hp.tau))
+        ClassState(
+            D_l, P_l, S_l, W_l, *update_reweights(relaxed_row_norms(ds.class_matrix(l), D_l, P_l, S_l), hp.tau)
+        )
         for l, (D_l, P_l, S_l, W_l) in enumerate(zip(pair.D, pair.P, codes.S, weights.W), start=1)
     ]
 

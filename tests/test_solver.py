@@ -20,33 +20,35 @@ from dictpair import (
     train,
 )
 from dictpair import solver
-from dictpair.cli import PRESETS, _minimize_weights_gd
+from dictpair.cli import PRESETS, _minimize_weights_gd, numeric_gradient
 from dictpair.model import ClassState, init_state
 
 from conftest import CORRUPT_HP, STANDARD_HP, final_states
 
 
-# --- smoothed row norms ------------------------------------------------------
+# --- row norms ---------------------------------------------------------------
 
-def test_smoothed_row_norms_zero_matrix():
-    out = solver.smoothed_row_norms(np.zeros((3, 4)), 1e-6)
-    assert np.array_equal(out, np.full(3, 1e-6))
-
-
-def test_smoothed_row_norms_345():
-    out = solver.smoothed_row_norms(np.array([[3.0, 4.0]]), 0.1)
-    assert abs(out[0] - 10.1) < 1e-15
+def test_row_norms_zero_matrix():
+    assert np.array_equal(solver.row_norms(np.zeros((3, 4))), np.zeros(3))
 
 
-def test_smoothed_row_norms_oracle(rng):
+def test_row_norms_345():
+    assert solver.row_norms(np.array([[3.0, 4.0]]))[0] == 5.0
+
+
+def test_row_norms_oracle(rng):
     R = rng.standard_normal((6, 4))
-    out = solver.smoothed_row_norms(R, 0.01)
+    out = solver.row_norms(R)
     for i in range(6):
-        direct = 2.0 * sum(R[i, j] ** 2 for j in range(4)) ** 0.5 + 0.01
+        direct = sum(R[i, j] ** 2 for j in range(4)) ** 0.5
         assert abs(out[i] - direct) < 1e-14
 
 
 # --- reweighting diagonals ---------------------------------------------------
+
+def reweights(X, D, P, S, tau):
+    return solver.update_reweights(solver.relaxed_row_norms(X, D, P, S), tau)
+
 
 def test_reweights_exact_fit():
     rng = np.random.default_rng(0)
@@ -55,7 +57,7 @@ def test_reweights_exact_fit():
     S = P @ X  # exact analysis fit
     D = rng.standard_normal((4, 2))
     tau = 1e-6
-    _, u, _ = solver.update_reweights(X, D, P, S, tau)
+    _, u, _ = reweights(X, D, P, S, tau)
     np.testing.assert_allclose(u, 1.0 / tau, rtol=1e-12)
 
 
@@ -65,7 +67,7 @@ def test_reweights_unit_column_analysis():
     X = np.zeros((3, 2))
     S = np.ones((3, 2))
     D = np.ones((3, 3))
-    h, _, _ = solver.update_reweights(X, D, P, S, 0.5)
+    h, _, _ = reweights(X, D, P, S, 0.5)
     np.testing.assert_allclose(h, 1.0 / 2.5, rtol=1e-15)
 
 
@@ -75,7 +77,7 @@ def test_reweights_oracle(rng):
     P = rng.standard_normal((2, 4))
     S = np.abs(rng.standard_normal((2, 3)))
     tau = 1e-3
-    h, u, v = solver.update_reweights(X, D, P, S, tau)
+    h, u, v = reweights(X, D, P, S, tau)
     for i in range(4):
         assert abs(h[i] - 1.0 / (2.0 * np.linalg.norm(P[:, i]) + tau)) < 1e-14
     R_u = S.T - X.T @ P.T
@@ -83,6 +85,18 @@ def test_reweights_oracle(rng):
     for i in range(3):
         assert abs(u[i] - 1.0 / (2.0 * np.linalg.norm(R_u[i]) + tau)) < 1e-14
         assert abs(v[i] - 1.0 / (2.0 * np.linalg.norm(R_v[i]) + tau)) < 1e-14
+
+
+def test_reweights_non_square_analysis_block(rng):
+    # h has one entry per column of P_l (n of them), whatever k is
+    k, n, N_l = 2, 5, 3
+    X = rng.standard_normal((n, N_l))
+    D = rng.standard_normal((n, k))
+    P = rng.standard_normal((k, n))
+    S = np.abs(rng.standard_normal((k, N_l)))
+    h, u, v = reweights(X, D, P, S, 1e-3)
+    assert (h.shape, u.shape, v.shape) == ((n,), (N_l,), (N_l,))
+    np.testing.assert_allclose(h, 1.0 / (2.0 * np.linalg.norm(P, axis=0) + 1e-3), rtol=1e-14)
 
 
 # --- code means --------------------------------------------------------------
@@ -405,7 +419,7 @@ def test_update_W_stationarity_via_numeric_gradient(rng):
     X = rng.uniform(0.5, 1.5, (4, 3))
     P = rng.standard_normal((2, 4))
     W = solver.update_W(X, P)
-    grad = solver.numeric_gradient(lambda V: solver.weight_term(X, P, V), W, 1e-5)
+    grad = numeric_gradient(lambda V: solver.weight_term(X, P, V), W, 1e-5)
     assert np.linalg.norm(grad[~np.eye(3, dtype=bool)]) < 1e-5 * (1.0 + np.linalg.norm(W))
 
 
@@ -509,19 +523,19 @@ def test_objectives_match_reference(rng):
 
 def test_numeric_gradient_quadratic():
     M = np.array([[1.0, 2.0]])
-    G = solver.numeric_gradient(lambda A: float(np.sum(A * A)), M, 1e-6)
+    G = numeric_gradient(lambda A: float(np.sum(A * A)), M, 1e-6)
     np.testing.assert_allclose(G, [[2.0, 4.0]], rtol=0, atol=1e-8)
 
 
 def test_numeric_gradient_linear():
     M = np.array([[1.0, -3.0], [0.5, 2.0]])
-    G = solver.numeric_gradient(lambda A: float(np.sum(A)), M, 1e-6)
+    G = numeric_gradient(lambda A: float(np.sum(A)), M, 1e-6)
     np.testing.assert_allclose(G, np.ones((2, 2)), rtol=0, atol=1e-9)
 
 
 def test_numeric_gradient_bad_step():
     with pytest.raises(ValueError):
-        solver.numeric_gradient(lambda A: 0.0, np.zeros((1, 1)), 0.0)
+        numeric_gradient(lambda A: 0.0, np.zeros((1, 1)), 0.0)
 
 
 # --- training loop -----------------------------------------------------------
@@ -573,7 +587,7 @@ def test_train_verifies_every_solve_on_both_guard_paths(standard_split, standard
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
-def test_train_self_check_presets(request, preset, data):
+def test_train_presets_pass_the_solve_check(request, preset, data):
     # on this data the analysis systems of ar, pie, scene15 and yaleb reach cond(A)
     # of 1e11-1.2e12; every solve must still pass the backward-error check
     train_ds, _ = request.getfixturevalue(f"{data}_split")
@@ -678,7 +692,7 @@ def iterate_by_hand(ds, states, hp, mode):
     for l, st in enumerate(states):
         X_l = ds.class_matrix(l + 1)
         solver.sweep_class(ds, X_l, st, hp)
-        st.h, st.u, v = solver.update_reweights(X_l, st.D, st.P, st.S, hp.tau)
+        st.h, st.u, v = solver.update_reweights(solver.relaxed_row_norms(X_l, st.D, st.P, st.S), hp.tau)
         if mode == "full":
             st.v = v
 
@@ -713,6 +727,22 @@ def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_
         assert getattr(history, f"delta_{name}") == [delta]
     assert history.objective_model == [objective_model(train_ds, states, hp)]
     assert history.objective_relaxed == [objective_relaxed(train_ds, states, hp)]
+
+
+@pytest.mark.parametrize("mode", ["full", "frobenius"])
+def test_train_refreshes_the_diagonals_once_per_class_and_iteration(
+    standard_split, standard_hp, monkeypatch, mode
+):
+    # the per-layer call count the benchmark tracer reports for update_reweights
+    train_ds, _ = standard_split
+    hp = dataclasses.replace(standard_hp, max_iter=3, tol=1e-300)
+    if mode == "frobenius":
+        hp = dataclasses.replace(hp, beta=0.0, lam=0.0)
+    calls, update_reweights = [], solver.update_reweights
+    monkeypatch.setattr(solver, "update_reweights", lambda *args: calls.append(args) or update_reweights(*args))
+    history = train(train_ds, hp, mode=mode)[3]
+    assert history.iterations_run == 3
+    assert len(calls) == train_ds.n_classes * history.iterations_run
 
 
 @pytest.mark.parametrize("mode", ["full", "frobenius"])
