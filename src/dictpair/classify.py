@@ -16,6 +16,10 @@ The bracket is (D_l' D_l P_l - 2 D_l') y, so one product of the 2K x n rows
 factors for every class and column; D_l P_l is never formed. The absolute
 error in r^2 is about eps * ||y||^2: residuals below about 1e-8 * ||y|| are
 not resolved and read as 0 (a tie) or as rounding noise.
+
+For N columns, a call allocates that 2K x N product and the c x N result
+(plus the N squared norms), once the operator is cached: the products Z_l * W_l
+overwrite Z in place, and the shift, clamp and square root run in the result.
 """
 
 from dataclasses import dataclass
@@ -45,15 +49,18 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
         raise ValueError(f"expected one sample vector or an n x N sample matrix, got shape {y.shape}")
     if y.shape[0] != model.n_features:
         raise ValueError(f"sample dimension {y.shape[0]} != model dimension {model.n_features}")
-    Y = y if y.ndim == 2 else y[:, None]
-    sq = np.einsum("ij,ij->j", Y, Y)
+    sq = np.einsum("i...,i...->...", y, y)
     if not np.isfinite(sq).all():
         raise ValueError(f"sample column {int(np.argmin(np.isfinite(sq)))} has a NaN, an inf or an overflowing norm")
     rows, starts = model.residual_operator
-    # Z = P Y and W = D'D Z - 2 D'Y; Z * W summed over a class's atoms is r^2 - ||y||^2
-    Z, W = np.split(rows @ Y, 2)
-    r2 = sq + np.add.reduceat(Z * W, starts, axis=0)
-    return np.sqrt(np.maximum(r2, 0.0)).reshape((-1,) + y.shape[1:])
+    # ZW stacks Z = P y over W = D'D Z - 2 D'y; Z * W summed over a class's
+    # atoms is r^2 - ||y||^2. Z * W overwrites Z, and r^2 its reduction
+    ZW = rows @ y
+    K = rows.shape[0] // 2
+    Z = np.multiply(ZW[:K], ZW[K:], out=ZW[:K])
+    r2 = np.add.reduceat(Z, starts, axis=0)
+    r2 += sq
+    return np.sqrt(np.maximum(r2, 0.0, out=r2), out=r2)
 
 
 def classify_sample(y: np.ndarray, model: DictionaryPair) -> int:

@@ -9,6 +9,10 @@ save, so doubles round-trip exactly). A labels file holds one integer per line.
 model files, and ``read_end`` rejects what either file holds after its last
 block; ``parse_tokens`` converts every token of a matrix, label or model
 file, so a bad one is ``<file>, line <N>: expected a number, got '<token>'``.
+``read_block`` turns each line into its own float array (short lines are
+gathered first) and joins them once, so reading a block peaks at about twice
+the block's bytes; the header is never allocated up front, so a huge one
+fails on the missing values.
 ``write_rows`` is the one 17-digit formatter, of those blocks and of
 ``metrics.write_csv_matrix``; ``check_block`` rejects, before a file is
 written, a block that the readers would reject.
@@ -22,6 +26,12 @@ import numpy as np
 # values that write_rows formats per write (but at least one row): one chunk's
 # text, about 1.5 MB, and its tuple of floats stay small at any matrix size
 ROWS_CHUNK_VALUES = 65536
+
+# read_block converts a line of at least this many values on its own, and
+# shorter lines together until they hold this many: a block of short lines
+# (one value per line, as a one-column matrix is written) then keeps one
+# array header per this many values, not one per value
+READ_PART_VALUES = 256
 
 
 @dataclass
@@ -106,7 +116,12 @@ def parse_tokens(tokens, convert, path, lineno) -> list:
 def read_block(lines, path) -> np.ndarray:
     """Read one matrix block, a positive ``rows cols`` header line and then
     ``rows*cols`` values over any number of lines, streamed from ``lines``, an
-    ``enumerate(fh, start=1)`` that is left just after the block's last line."""
+    ``enumerate(fh, start=1)`` that is left just after the block's last line.
+
+    Each line's values become one float array (``_line_floats``; short lines
+    are gathered up to READ_PART_VALUES values first), and the arrays are
+    joined once at the end, so the peak is about twice the block's bytes.
+    Nothing is allocated from the header's size."""
     lineno, line = next(lines, (None, ""))
     if lineno is None:
         raise ValueError(f"{path}: truncated file (missing matrix header 'rows cols')")
@@ -116,14 +131,33 @@ def read_block(lines, path) -> np.ndarray:
     rows, cols = parse_tokens(header, int, path, lineno)
     if rows <= 0 or cols <= 0:
         raise ValueError(f"{path}, line {lineno}: dimensions must be positive, got {rows}x{cols}")
-    size, values = rows * cols, []
+    size, parts, count = rows * cols, [], 0
+    pending, waiting = [], 0  # (lineno, tokens) of the lines not yet converted, and their token count
     for lineno, line in lines:
-        values.extend(parse_tokens(line.split(), float, path, lineno))
-        if len(values) > size:
+        tokens = line.split()
+        pending.append((lineno, tokens))
+        count += len(tokens)
+        waiting += len(tokens)
+        if waiting >= READ_PART_VALUES or count >= size:
+            parts.append(_line_floats(pending, path))
+            pending, waiting = [], 0
+        if count > size:
             raise ValueError(f"{path}, line {lineno}: expected {size} values for a {rows}x{cols} matrix, found more")
-        if len(values) == size:
-            return np.array(values).reshape(rows, cols)
-    raise ValueError(f"{path}: expected {size} values for a {rows}x{cols} matrix, found {len(values)}")
+        if count == size:
+            return np.concatenate(parts).reshape(rows, cols)
+    _line_floats(pending, path)  # a bad token is named before the missing values
+    raise ValueError(f"{path}: expected {size} values for a {rows}x{cols} matrix, found {count}")
+
+
+def _line_floats(pending, path) -> np.ndarray:
+    """The values of consecutive lines, a list of ``(lineno, tokens)``, as one
+    float array, each token parsed as ``float`` parses it; a bad token is the
+    ``parse_tokens`` error that names its file and line."""
+    tokens = pending[0][1] if len(pending) == 1 else [t for _, line in pending for t in line]
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        return np.array([v for lineno, line in pending for v in parse_tokens(line, float, path, lineno)])
 
 
 def read_end(lines, path, expected: str) -> None:
@@ -179,9 +213,14 @@ def load_matrix(path) -> np.ndarray:
     finite = np.isfinite(M)
     if not finite.all():
         i = int(np.argmin(finite))
+        row, col = divmod(i, M.shape[1])
         with open(path, "r", encoding="ascii") as fh:  # error path: quote the token as written
-            token = fh.read().split()[2 + i]
-        raise ValueError(f"{path}: non-finite value {token!r} at row {i // M.shape[1]}, column {i % M.shape[1]}")
+            next(fh)  # the header
+            for tokens in map(str.split, fh):
+                if i < len(tokens):
+                    break
+                i -= len(tokens)
+        raise ValueError(f"{path}: non-finite value {tokens[i]!r} at row {row}, column {col}")
     return M
 
 

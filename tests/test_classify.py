@@ -94,23 +94,33 @@ def test_evaluate_rejects_out_of_range_label(label):
         evaluate(small_testset(), _FixedPredictor({(1.0,): 1, (2.0,): label, (3.0,): 2, (4.0,): 2}))
 
 
+def traced_peak(f, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during f(*args)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_residual_never_forms_dense_product():
     # one D_l P_l at n = 2000 is a 32 MB allocation; building the Gram-form
     # operator of a fresh model and applying it to a vector or to a matrix
     # stays far below that
-    import tracemalloc
-
     rng = np.random.default_rng(5)
     n = 2000
     for y in (rng.standard_normal(n), rng.standard_normal((n, 8))):
-        model = random_model(rng, n, [5, 5, 5])
-        tracemalloc.start()
-        try:
-            class_residuals(y, model)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8 / 10
+        assert traced_peak(class_residuals, y, random_model(rng, n, [5, 5, 5])) < n * n * 8 / 10
+    # with the operator cached, a batched call allocates the 2K x N product
+    # and the c x N result, and little else (a K x N product and two c x N
+    # temporaries more put it at 1.47x)
+    n, N, ks = 300, 400, [5] * 10
+    model, Y = random_model(rng, n, ks), rng.standard_normal((n, N))
+    class_residuals(Y, model)
+    assert traced_peak(class_residuals, Y, model) <= 1.25 * (2 * sum(ks) + len(ks)) * N * 8
 
 
 def test_evaluate_recount_oracle(rng):

@@ -56,7 +56,14 @@ def test_load_values_over_any_lines(tmp_path):
     ("1 2\n1 2 3\n", r"m\.txt, line 2: expected 2 values for a 1x2 matrix, found more"),
     ("1 2\n1 2\n\n3\n", r"m\.txt, line 4: expected 2 values for a 1x2 matrix, found more"),
     ("1000000 1000000\n1 2\n", r"m\.txt: expected 1000000000000 values for a 1000000x1000000 matrix, found 2"),
-], ids=["empty", "non-integer-header", "negative-header", "overfull-line", "values-left-over", "huge-header"])
+    # line numbers keep counting while short lines are gathered for conversion
+    ("600 1\n" + "1\n" * 299 + "x\n" + "1\n" * 300, r"m\.txt, line 301: expected a number, got 'x'"),
+    ("600 1\n" + "1\n" * 599 + "1 2\n", r"m\.txt, line 601: expected 600 values for a 600x1 matrix, found more"),
+    ("600 1\n" + "1\n" * 10 + "x\n", r"m\.txt, line 12: expected a number, got 'x'"),
+    ("4 1\n1\nx\n1\n1 2\n", r"m\.txt, line 3: expected a number, got 'x'"),
+], ids=["empty", "non-integer-header", "negative-header", "overfull-line", "values-left-over", "huge-header",
+        "bad-token-among-short-lines", "overfull-after-short-lines", "bad-token-in-a-truncated-block",
+        "bad-token-before-an-overfull-line"])
 def test_load_malformed_block_names_line(tmp_path, text, message):
     p = tmp_path / "m.txt"
     p.write_text(text)
@@ -64,12 +71,39 @@ def test_load_malformed_block_names_line(tmp_path, text, message):
         data.load_matrix(p)
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
-def test_load_non_finite(tmp_path, token):
+@pytest.mark.parametrize("text, token, where", [
+    ("2 2\n1 2\n3 nan\n", "nan", "row 1, column 1"),
+    ("2 2\n1 2\n3 inf\n", "inf", "row 1, column 1"),
+    ("2 2\n1 2\n3 -inf\n", "-inf", "row 1, column 1"),
+    ("2 2\n1 2\n3 NaN\n", "NaN", "row 1, column 1"),
+    # quoted from the line it sits on, counted over lines of uneven length
+    ("2 3\n1\n\n2 3 4\n5 -Infinity\n", "-Infinity", "row 1, column 2"),
+], ids=["nan", "inf", "-inf", "NaN", "later-uneven-line"])
+def test_load_non_finite(tmp_path, text, token, where):
     p = tmp_path / "m.txt"
-    p.write_text(f"2 2\n1 2\n3 {token}\n")
-    with pytest.raises(ValueError, match=rf"m\.txt: non-finite value '{token}' at row 1, column 1"):
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"m\.txt: non-finite value '{token}' at {where}"):
         data.load_matrix(p)
+
+
+@pytest.mark.parametrize("shape", [(300, 400), (20000, 1)], ids=["rows", "one-column"])
+def test_load_peak_memory_is_about_twice_the_array(tmp_path, rng, shape):
+    # the per-line arrays and their join; a list of Python floats, one per
+    # value, and its conversion peaked at 5.07x. A one-column file has one
+    # value per line: an array per line, never joined, peaked at 20x
+    import tracemalloc
+
+    M = rng.standard_normal(shape)
+    p = tmp_path / "m.txt"
+    data.save_matrix(p, M)
+    tracemalloc.start()
+    try:
+        loaded = data.load_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, M)
+    assert peak <= 2.5 * M.nbytes
 
 
 def test_load_bad_header(tmp_path):
