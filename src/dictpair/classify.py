@@ -17,17 +17,32 @@ factors for every class and column; D_l P_l is never formed. The absolute
 error in r^2 is about eps * ||y||^2: residuals below about 1e-8 * ||y|| are
 not resolved and read as 0 (a tie) or as rounding noise.
 
-For N columns, a call allocates that 2K x N product and the c x N result
-(plus the N squared norms), once the operator is cached: the products Z_l * W_l
-overwrite Z in place, and the shift, clamp and square root run in the result.
+A vector, or a matrix of at most EVAL_BLOCK columns, is one call of the
+kernel (_block_residuals). A wider matrix is cut into fixed blocks of
+EVAL_BLOCK columns, the last one narrower, which solver._map_classes runs on
+solver._worker_count(blocks) threads, the class workers of training; each
+block's c x B residuals are copied into its columns of one c x N result. The
+cut does not depend on the worker count, so the residuals are bitwise the same
+for any count. Once the operator is cached, a call on N columns allocates the
+c x N result and the N squared norms, and each running block one 2K x B
+product and its c x B residuals (the shift by ||y||^2 takes one c x B
+temporary more): the products Z_l * W_l overwrite Z in place, and the clamp
+and square root run in the residuals. The whole 2K x N product is never
+formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .data import LabeledDataset
 from .model import DictionaryPair
+
+# columns per block of a batched class_residuals call, a multiple of 8; at
+# N = 1216 and 2432 (n = 504, one BLAS thread, two workers) 256 and 512 were
+# about as fast and 1024 slower at 1216; 256 holds less memory per worker
+EVAL_BLOCK = 256
 
 
 @dataclass
@@ -41,8 +56,10 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
     """Reconstruction residual ||y - D_l (P_l y)||_2 for every class.
 
     A vector y gives a length-c array, an n x N matrix the c x N residuals of
-    its columns, both in the Gram form of the module docstring. A column with a
-    NaN or inf entry, or an overflowing norm, is a ValueError raised first.
+    its columns, both in the Gram form of the module docstring; a matrix of
+    more than EVAL_BLOCK columns is computed in column blocks on the class
+    workers. A column with a NaN or inf entry, or an overflowing norm, is a
+    ValueError raised first.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
@@ -52,7 +69,25 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
     sq = np.einsum("i...,i...->...", y, y)
     if not np.isfinite(sq).all():
         raise ValueError(f"sample column {int(np.argmin(np.isfinite(sq)))} has a NaN, an inf or an overflowing norm")
+    # cached_property takes no lock: the operator is built before any helper starts
     rows, starts = model.residual_operator
+    if y.ndim == 1 or y.shape[1] <= EVAL_BLOCK:
+        return _block_residuals(rows, starts, y, sq)
+    N = y.shape[1]
+    out = np.empty((len(starts), N))
+    blocks = range(0, N, EVAL_BLOCK)
+
+    def block(i):
+        cols = slice(blocks[i], blocks[i] + EVAL_BLOCK)
+        out[:, cols] = _block_residuals(rows, starts, y[:, cols], sq[cols])
+
+    solver._map_classes(block, len(blocks), solver._worker_count(len(blocks)))
+    return out
+
+
+def _block_residuals(rows, starts, y, sq):
+    """class_residuals of the columns y with squared norms sq, from the
+    residual operator's rows and class starts."""
     # ZW stacks Z = P y over W = D'D Z - 2 D'y; Z * W summed over a class's
     # atoms is r^2 - ||y||^2. Z * W overwrites Z, and r^2 its reduction
     ZW = rows @ y

@@ -49,7 +49,11 @@ min(c, cpus // BLAS threads) where NumPy links OpenBLAS and 1 otherwise, so
 with BLAS unpinned, or of unknown kind, no thread is started. train adds the
 returned figures up in class order, one term at a time, as the serial loop
 does, so every block and every TrainHistory field is bitwise the same for any
-worker count. No helper outlives an iteration.
+worker count. No helper outlives an iteration. classify.class_residuals
+runs the fixed column blocks of a wide test matrix through the same
+_map_classes on _worker_count(blocks) threads; each block writes its own
+columns of the result, so residuals too are bitwise the same for any count,
+and no helper outlives the call.
 
 What a sweep decreases: surrogate_relaxed, under frozen diagonals. There a row
 of norm r with diagonal entry w = 1/(2 r0 + tau) (r0: its norm at the last
@@ -465,13 +469,14 @@ def _linked_blas() -> str:
 
 
 def _worker_count(c: int) -> int:
-    """Threads that sweep the classes in train: min(c, cpus // blas_threads),
-    at least 1. cpus is the CPUs this process may run on. blas_threads is read
-    only where NumPy links OpenBLAS: the first positive value of the variables
-    OpenBLAS itself honours, in its order (OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS, OMP_NUM_THREADS), or else cpus. Any other BLAS, whose
-    thread count cannot be told here, gets 1 worker, as does unpinned
-    OpenBLAS, so class threads never compete with BLAS threads for the cores."""
+    """Threads that sweep the c classes in train, or the c column blocks in
+    classify.class_residuals: min(c, cpus // blas_threads), at least 1. cpus
+    is the CPUs this process may run on. blas_threads is read only where
+    NumPy links OpenBLAS: the first positive value of the variables OpenBLAS
+    itself honours, in its order (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS,
+    OMP_NUM_THREADS), or else cpus. Any other BLAS, whose thread count cannot
+    be told here, gets 1 worker, as does unpinned OpenBLAS, so class threads
+    never compete with BLAS threads for the cores."""
     if "openblas" not in _linked_blas():
         return 1
     try:

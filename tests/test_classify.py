@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from dictpair import Hyperparams, classify_sample, evaluate, partition_by_class
 from dictpair import classify as classify_module
-from dictpair.classify import class_residuals
+from dictpair import solver
+from dictpair.classify import EVAL_BLOCK, class_residuals
 from dictpair.data import LabeledDataset
 from dictpair.model import DictionaryPair, load_model, save_model
 
@@ -106,7 +109,7 @@ def traced_peak(f, *args) -> int:
         tracemalloc.stop()
 
 
-def test_residual_never_forms_dense_product():
+def test_residual_never_forms_dense_product(monkeypatch):
     # one D_l P_l at n = 2000 is a 32 MB allocation; building the Gram-form
     # operator of a fresh model and applying it to a vector or to a matrix
     # stays far below that
@@ -121,6 +124,13 @@ def test_residual_never_forms_dense_product():
     model, Y = random_model(rng, n, ks), rng.standard_normal((n, N))
     class_residuals(Y, model)
     assert traced_peak(class_residuals, Y, model) <= 1.25 * (2 * sum(ks) + len(ks)) * N * 8
+    # a matrix of many blocks allocates the c x N result, and each of two
+    # workers one block's 2K x B product at a time, never the 2K x N product
+    monkeypatch.setattr(solver, "_worker_count", lambda c: min(c, 2))
+    N = 8 * EVAL_BLOCK
+    Y = rng.standard_normal((n, N))
+    bound = 1.25 * (len(ks) * N + 2 * (2 * sum(ks) + len(ks)) * EVAL_BLOCK) * 8
+    assert traced_peak(class_residuals, Y, model) <= bound
 
 
 def test_evaluate_recount_oracle(rng):
@@ -158,6 +168,44 @@ def assert_matches_columns(model, Y):
 
 def test_batched_residuals_match_per_column_unequal_atoms(rng):
     assert_matches_columns(random_model(rng, 6, [1, 3, 2]), rng.standard_normal((6, 25)))
+
+
+def test_batched_residuals_match_per_column_over_several_blocks(rng):
+    assert_matches_columns(random_model(rng, 6, [1, 3, 2]), rng.standard_normal((6, 2 * EVAL_BLOCK + 3)))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blocked_residuals_are_bitwise_the_same_at_any_worker_count(monkeypatch, rng, workers):
+    # the blocks are cut the same way at every worker count, and each block's
+    # residuals are those of a one-block call on its columns
+    model, Y = random_model(rng, 40, [3, 5, 4, 2]), rng.standard_normal((40, 2 * EVAL_BLOCK + 3))
+    blocks = [class_residuals(Y[:, s:s + EVAL_BLOCK], model) for s in range(0, Y.shape[1], EVAL_BLOCK)]
+    monkeypatch.setattr(solver, "_worker_count", lambda c: min(c, workers))
+    widths, kernel = [], classify_module._block_residuals
+
+    def recorded(rows, starts, y, sq):
+        widths.append(y.shape[1])
+        return kernel(rows, starts, y, sq)
+
+    monkeypatch.setattr(classify_module, "_block_residuals", recorded)
+    # a short switch interval interleaves the workers' writes into the result
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        residuals = class_residuals(Y, model)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(widths) == [3, EVAL_BLOCK, EVAL_BLOCK]
+    assert residuals.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
+
+def test_evaluate_leaves_no_helper_thread_running(monkeypatch, rng):
+    monkeypatch.setattr(solver, "_worker_count", lambda c: min(c, 3))
+    N = 3 * EVAL_BLOCK + 1
+    ds = partition_by_class(rng.standard_normal((8, N)), np.arange(N) % 3 + 1)
+    before = threading.active_count()
+    evaluate(ds, random_model(rng, 8, [2, 2, 2]))
+    assert threading.active_count() == before
 
 
 def test_batched_residuals_match_per_column_trained(trained_standard, standard_split):
