@@ -52,7 +52,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# first seed of the pinned instance family for the frozen-sweep check
+# first seed of the instance family for the frozen-sweep check; gradcheck
+# --seed s runs its five instances SWEEP_SEED_BASE + 5 s to SWEEP_SEED_BASE + 5 s + 4
 SWEEP_SEED_BASE = 366
 
 
@@ -352,7 +353,7 @@ def cmd_gradcheck(args) -> int:
     # full sweep with frozen diagonals never increases the quadratic surrogate
     worst = -np.inf
     for inst in range(5):
-        ds, states, hp_s = _sweep_instance(SWEEP_SEED_BASE + inst)
+        ds, states, hp_s = _sweep_instance(SWEEP_SEED_BASE + 5 * args.seed + inst)
         s0 = solver.surrogate_relaxed(ds, states, hp_s)
         for l, st in enumerate(states):
             solver.sweep_class(ds, ds.class_matrix(l + 1), st, hp_s)

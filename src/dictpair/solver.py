@@ -63,15 +63,17 @@ surrogate decrease 2 x (the smoothed l2,1 terms) + (the penalties). The P step
 (at lam = 0) and the W step minimize it over their block; the S and D steps
 are not exact block minimizers.
 
-Numerical guards: the analysis system A is factorized by Cholesky, A = L L',
-and P_l is solved by forward and back substitution on that factor. tau*I is
-added to A only when the factorization fails or
-(min L_ii / max L_ii)^2 < 1/COND_GUARD; that system is then solved by LU,
-and TrainHistory.tau_regularized counts those solves. Every analysis and
-synthesis solve is verified on every run (_checked_solve): a singular system,
-or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||), n the order of A
-(NaN too), raises NumericalError naming the solve. A non-finite A, and a
-non-finite objective in train, raise NumericalError as well.
+Numerical guards: every analysis and synthesis system is solved by one LU
+factorization (np.linalg.solve) and verified on every run (_checked_solve):
+a singular system, or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||),
+n the order of A (NaN too), raises NumericalError naming the solve. For
+alpha > 0 the analysis system is positive definite: its 4 alpha diag(h) term
+is, and every other term is semidefinite. So it is solved as built, and no
+guard runs. At alpha = 0 it is X_l C X_l', of rank at most N_l; only there
+is tau*I added, when A has no Cholesky factor or
+(min L_ii / max L_ii)^2 < 1/COND_GUARD, and TrainHistory.tau_regularized
+counts those solves. A non-finite A, and a non-finite objective in train,
+raise NumericalError as well.
 """
 
 import os
@@ -84,12 +86,9 @@ import numpy as np
 from .data import LabeledDataset
 from .model import ClassState, CodingState, DictionaryPair, Hyperparams, WeightState, init_state
 
-# tau*I is added to the analysis system when (min L_ii / max L_ii)^2 of its
-# Cholesky factor falls below 1/COND_GUARD
+# at alpha = 0, tau*I is added to the analysis system when (min L_ii / max L_ii)^2
+# of its Cholesky factor falls below 1/COND_GUARD
 COND_GUARD = 1e12
-# rows per diagonal block in the substitutions on the analysis factor; 24-32
-# was fastest at n = 504 (one BLAS thread)
-SUBST_BLOCK = 32
 # |column sum| below which a synthesis atom falls back to the uniform column
 SUM_FLOOR = 1e-10
 
@@ -104,7 +103,7 @@ class TrainHistory:
     """Per-iteration objective values, iterate deltas, and the stopping outcome.
 
     tau_regularized counts the analysis solves that had tau*I added to their
-    system (see analysis_system).
+    system; only alpha = 0 systems can have it (see analysis_system).
     """
 
     objective_model: list[float] = field(default_factory=list)
@@ -158,49 +157,30 @@ def update_reweights(norms: tuple, tau: float) -> tuple:
     return tuple(1.0 / (2.0 * r + tau) for r in norms)
 
 
-def _cholesky_guard(A: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor L of A = L L', or None when A has none or
-    (min L_ii / max L_ii)^2 is below 1/COND_GUARD.
+def _cholesky_guard(A: np.ndarray) -> bool:
+    """Whether A has a Cholesky factor L (A = L L') with
+    (min L_ii / max L_ii)^2 at least 1/COND_GUARD.
 
     The diagonal of the triangular L holds its eigenvalues, so
     (max L_ii / min L_ii)^2 is a lower bound on cond(A) = cond(L)^2: the test
-    fires only on systems whose 2-norm condition number exceeds COND_GUARD,
+    fails only on systems whose 2-norm condition number exceeds COND_GUARD,
     and costs one factorization instead of a full SVD."""
     try:
-        L = np.linalg.cholesky(A)
+        d = np.diag(np.linalg.cholesky(A))
     except np.linalg.LinAlgError:
-        return None
-    d = np.diag(L)
-    return None if (d.min() / d.max()) ** 2 < 1.0 / COND_GUARD else L
+        return False
+    return (d.min() / d.max()) ** 2 >= 1.0 / COND_GUARD
 
 
-def _substitute(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve T Y = B for a triangular T with nonzero diagonal (lower or upper)
-    by blocked substitution, SUBST_BLOCK rows at a time: each diagonal block
-    is one small np.linalg.solve, the update from the rows already solved is
-    one matrix product."""
-    n = T.shape[0]
-    Y = np.empty(B.shape)
-    starts = range(0, n, SUBST_BLOCK)
-    for s in starts if lower else reversed(starts):
-        e = min(s + SUBST_BLOCK, n)
-        done = slice(0, s) if lower else slice(e, n)
-        Y[s:e] = np.linalg.solve(T[s:e, s:e], B[s:e] - T[s:e, done] @ Y[done])
-    return Y
-
-
-def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, L: np.ndarray | None = None) -> np.ndarray:
-    """Solve Y A = B, by substitution on L when given (A = L L'), else by one
-    LU factorization, and verify it: a singular system, or a residual
-    ||Y A - B|| above n eps (||Y|| ||A|| + ||B||) for A of order n (NaN
-    included), raises a NumericalError naming the `what` solve. That is the
-    normwise backward-error test (Higham, Accuracy and Stability of Numerical
-    Algorithms, 7.1), which backward-stable solves pass at any cond(A)."""
+def _checked_solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """Solve Y A = B by one LU factorization and verify it: a singular
+    system, or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||) for A
+    of order n (NaN included), raises a NumericalError naming the `what`
+    solve. That is the normwise backward-error test (Higham, Accuracy and
+    Stability of Numerical Algorithms, 7.1), which backward-stable solves
+    pass at any cond(A)."""
     try:
-        if L is None:
-            Y = np.linalg.solve(A.T, B.T).T
-        else:
-            Y = _substitute(L.T, _substitute(L, B.T, lower=True), lower=False).T
+        Y = np.linalg.solve(A.T, B.T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} system singular") from exc
     res = np.linalg.norm(Y @ A - B)
@@ -220,8 +200,8 @@ def analysis_system(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """System matrix, right-hand side and Cholesky factor of the analysis
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """System matrix, right-hand side and guard outcome of the analysis
     update P_l A = B.
 
     In Gram form, with G = X X' over the whole dataset and Q = (I - W_l)(I - W_l)':
@@ -235,9 +215,10 @@ def analysis_system(
     B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with the replicated means
     M_l = m 1', Mbar_l = mbar 1', rewritten through Xbar_l Xbar_l' = G - X_l X_l'.
 
-    Guard: A is factorized by Cholesky, A = L L', and (A, B, L) is returned.
-    When that fails or (min L_ii / max L_ii)^2 < 1/COND_GUARD, tau*I is added
-    to A instead and (A + tau I, B, None) is returned. A non-finite A raises
+    For alpha > 0, A is positive definite and (A, B, False) is returned.
+    Guard, at alpha = 0 only, where A = X_l C X_l' has rank at most N_l: when
+    A has no Cholesky factor A = L L', or (min L_ii / max L_ii)^2 <
+    1/COND_GUARD, (A + tau I, B, True) is returned. A non-finite A raises
     NumericalError.
     """
     n, N_l = X_l.shape
@@ -252,10 +233,10 @@ def analysis_system(
     B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
     if not np.all(np.isfinite(A)):
         raise NumericalError("analysis system has non-finite entries")
-    L = _cholesky_guard(A)
-    if L is None:
+    regularized = hp.alpha == 0 and not _cholesky_guard(A)
+    if regularized:
         A[np.diag_indices(n)] += hp.tau
-    return A, B, L
+    return A, B, regularized
 
 
 def update_P(
@@ -271,14 +252,12 @@ def update_P(
 ) -> tuple[np.ndarray, bool]:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system.
 
-    With the guard's factor A = L L', P_l' is solved by substitution on it:
-    L Z = B', then L' P_l' = Z. When tau*I was added instead, A + tau I is
-    solved by LU. Either solve is verified by _checked_solve. Returns P_l and
-    whether tau*I was added; m, mbar are the code means of the P_l being
+    The system is solved by LU and verified by _checked_solve. Returns P_l
+    and whether tau*I was added; m, mbar are the code means of the P_l being
     replaced.
     """
-    A, B, L = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
-    return _checked_solve(A, B, "analysis", L), L is None
+    A, B, regularized = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
+    return _checked_solve(A, B, "analysis"), regularized
 
 
 def update_S(

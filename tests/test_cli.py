@@ -539,6 +539,17 @@ def test_gradcheck_passes(capsys):
     ]
 
 
+def test_gradcheck_seed_picks_the_sweep_instances(capsys, monkeypatch):
+    # --seed s runs the frozen-sweep check on instances 366 + 5 s to 366 + 5 s + 4
+    from dictpair import cli
+
+    seeds, sweep_instance = [], cli._sweep_instance
+    monkeypatch.setattr(cli, "_sweep_instance", lambda seed: seeds.append(seed) or sweep_instance(seed))
+    rc, _, _ = run(capsys, "gradcheck", "--seed", "1")
+    assert rc == 0
+    assert seeds == [371, 372, 373, 374, 375]
+
+
 def test_gradcheck_detects_injected_sign_flip(capsys, monkeypatch):
     # a sign-flipped weight update is not the minimizer on diag(W) = 0
     from dictpair import solver as solver_mod

@@ -166,21 +166,7 @@ def test_update_P_solve_residual(rng):
         assert np.linalg.norm(P @ A - B) < 1e-8 * np.linalg.norm(B)
 
 
-@pytest.mark.parametrize("n", [1, solver.SUBST_BLOCK - 1, solver.SUBST_BLOCK, solver.SUBST_BLOCK + 1, 504])
-@pytest.mark.parametrize("lower", [True, False])
-@pytest.mark.parametrize("k", [1, 5])
-def test_substitute_matches_solve(rng, n, lower, k):
-    # a Cholesky factor of a well-conditioned SPD matrix, or its transpose
-    M = rng.standard_normal((n, 2 * n))
-    L = np.linalg.cholesky(M @ M.T / (2 * n) + np.eye(n))
-    T = L if lower else L.T
-    B = rng.standard_normal((n, k))
-    Y = solver._substitute(T, B, lower)
-    want = np.linalg.solve(T, B)
-    assert np.linalg.norm(Y - want) <= 1e-12 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("n, sizes", [(5, (8, 6)), (70, (20, 60)), (2 * solver.SUBST_BLOCK, (10, 30, 40))])
+@pytest.mark.parametrize("n, sizes", [(5, (8, 6)), (70, (20, 60)), (64, (10, 30, 40))])
 def test_update_P_matches_lu_reference(rng, n, sizes):
     hp = Hyperparams(alpha=0.05, beta=0.05, lam=1e-3, atoms_per_class=3)
     for _ in range(3):
@@ -195,14 +181,14 @@ def test_update_P_matches_lu_reference(rng, n, sizes):
         m, mbar = solver.compute_means(rng.standard_normal((3, n)), X, ds.sample_sum, ds.n_samples)
         A, B, _ = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
         P, regularized = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)
-        want = np.linalg.solve(A.T, B.T).T
         assert not regularized
-        assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
 
 
 def test_ratio_guard_on_positive_definite_system_takes_tau_and_lu(rng):
-    # one feature scaled by 1e-7 leaves A positive definite with cond(A) near 1e14:
-    # the Cholesky factor exists, but (min L_ii / max L_ii)^2 < 1/COND_GUARD
+    # at alpha = 0, one feature scaled by 1e-7 leaves A positive definite with
+    # cond(A) near 1e14: the Cholesky factor exists, but
+    # (min L_ii / max L_ii)^2 < 1/COND_GUARD
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=2, max_iter=3, tol=1e-12)
     X_all = rng.uniform(0.5, 1.5, (4, 24))
     X_all[-1] *= 1e-7
@@ -212,8 +198,8 @@ def test_ratio_guard_on_positive_definite_system_takes_tau_and_lu(rng):
     u, h = rng.uniform(0.5, 2.0, 12), np.ones(4)
     A0 = 4.0 * (X * u) @ X.T
     np.linalg.cholesky(A0)
-    A, B, L = solver.analysis_system(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
-    assert L is None
+    A, B, regularized = solver.analysis_system(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
+    assert regularized
     np.testing.assert_allclose(A, A0 + hp.tau * np.eye(4), rtol=1e-14, atol=0)
     P, regularized = solver.update_P(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
     assert regularized
@@ -284,9 +270,9 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         h = rng.uniform(0.5, 2.0, n)
         P = rng.standard_normal((k, n))
         m, mbar = solver.compute_means(P, X, ds.sample_sum, ds.n_samples)
-        A, B, L = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        A, B, regularized = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
         A_ref, B_ref = explicit_complement_system(X, Xbar, S, W, u, h, P, hp)
-        assert L is not None
+        assert not regularized
         assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
         assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
         states.append(ClassState(rng.standard_normal((n, k)), P, S, W, h, u, np.ones(N)))
@@ -574,15 +560,20 @@ def test_train_structure_invariants(trained_standard):
     assert history.converged
 
 
-def test_train_verifies_every_solve_on_both_guard_paths(standard_split, standard_hp):
-    # train raises on any solve that fails the backward-error check, every iteration
+def test_train_verifies_every_solve_on_both_guard_paths(standard_split, standard_hp, monkeypatch):
+    # train raises on any solve that fails the backward-error check, every
+    # iteration; the Cholesky guard runs only at alpha = 0, once per P solve
     train_ds, _ = standard_split
+    cholesky, factored = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
     history = train(train_ds, standard_hp)[3]
     assert history.tau_regularized == 0
+    assert factored == []
     # also through the singular-guard path (alpha = 0 leaves the system rank-deficient)
     hp = dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)
     history = train(train_ds, hp)[3]
     assert history.tau_regularized == train_ds.n_classes * history.iterations_run
+    assert len(factored) == train_ds.n_classes * history.iterations_run
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -596,6 +587,32 @@ def test_train_presets_pass_the_solve_check(request, preset, data):
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
     history = train(train_ds, hp)[3]
     assert history.iterations_run >= 1
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("data", ["standard", "corrupt"])
+def test_analysis_systems_of_every_preset_are_positive_definite(request, monkeypatch, preset, data):
+    # the premise that lets alpha > 0 skip the Cholesky guard: every analysis
+    # system train builds has a positive smallest eigenvalue, by more than the
+    # n eps ||A||_2 an eigensolver can be off (pie comes closest, near
+    # 8e-13 ||A||_2 at n = 20)
+    train_ds, _ = request.getfixturevalue(f"{data}_split")
+    alpha, beta, lam = PRESETS[preset]
+    base = STANDARD_HP if data == "standard" else CORRUPT_HP
+    hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
+    analysis_system, worst = solver.analysis_system, []
+
+    def recorded(*args):
+        A, B, regularized = analysis_system(*args)
+        eigenvalues = np.linalg.eigvalsh(A)
+        worst.append(eigenvalues[0] / (len(A) * np.finfo(float).eps * eigenvalues[-1]))
+        return A, B, regularized
+
+    monkeypatch.setattr(solver, "analysis_system", recorded)
+    history = train(train_ds, hp)[3]
+    assert len(worst) == train_ds.n_classes * history.iterations_run
+    assert history.tau_regularized == 0
+    assert min(worst) > 1.0
 
 
 def test_solve_check_accepts_backward_stable_solves_at_high_condition():
@@ -614,25 +631,21 @@ def test_solve_check_accepts_backward_stable_solves_at_high_condition():
 
 
 def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monkeypatch):
+    # at alpha > 0 no guard runs: each update is one LU solve of its system
     train_ds, _ = standard_split
+    assert standard_hp.alpha > 0
     st = init_state(train_ds, standard_hp)[0]
     X_l = train_ds.class_matrix(1)
     m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
-    solve, cholesky, calls, factors = np.linalg.solve, np.linalg.cholesky, [], []
-    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(A.copy()) or solve(A, B))
-    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factors.append(cholesky(A)) or factors[-1])
-    P_l, _ = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
+    solve, cholesky, calls, factored = np.linalg.solve, np.linalg.cholesky, [], []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(A.shape) or solve(A, B))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
+    solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
     n = X_l.shape[0]
-    assert [L.shape for L in factors] == [(n, n)]
-    L, blocks = factors[0], range(0, n, solver.SUBST_BLOCK)
-    diagonal = [L[s:s + solver.SUBST_BLOCK, s:s + solver.SUBST_BLOCK] for s in blocks]
-    assert len(calls) == 2 * len(diagonal)
-    assert all(any(np.array_equal(T, D) or np.array_equal(T, D.T) for D in diagonal) for T in calls)
-    A, B, _ = solver.analysis_system(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
-    assert np.linalg.norm(P_l @ A - B) <= 1e-10 * np.linalg.norm(B)
+    assert factored == [] and calls == [(n, n)]
     calls.clear()
     solver.update_D(X_l, st.S, st.v, standard_hp.tau)
-    assert [T.shape for T in calls] == [(st.S.shape[0],) * 2]
+    assert factored == [] and calls == [(st.S.shape[0],) * 2]
 
 
 def test_train_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
@@ -651,11 +664,11 @@ def test_train_catches_inaccurate_solves(standard_split, standard_hp, monkeypatc
 
 
 def test_train_checks_the_synthesis_solve(standard_split, standard_hp, monkeypatch):
-    # only the k x k synthesis solves are off by 1e-3 relative; no analysis
-    # substitution block has that size
+    # only the k x k synthesis solves are off by 1e-3 relative; the n x n
+    # analysis systems have another size
     train_ds, _ = standard_split
     k, n = standard_hp.atoms_per_class, train_ds.n_features
-    assert k not in {n, min(n, solver.SUBST_BLOCK), n % solver.SUBST_BLOCK}
+    assert k != n
     solve = np.linalg.solve
     monkeypatch.setattr(
         np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3) if A.shape == (k, k) else solve(A, B)
@@ -893,12 +906,14 @@ def same_training(a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("setting", sorted(PRESETS) + ["beta0-lambda0", "frobenius"])
+@pytest.mark.parametrize("setting", sorted(PRESETS) + ["alpha0", "beta0-lambda0", "frobenius"])
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
 def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting, data):
+    # alpha0 is the one setting whose analysis solves take the tau*I path
     train_ds, _ = request.getfixturevalue(f"{data}_split")
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
-    alpha, beta, lam = PRESETS.get(setting, (base["alpha"], 0.0, 0.0))
+    settings = {**PRESETS, "alpha0": (0.0, base["beta"], base["lam"])}
+    alpha, beta, lam = settings.get(setting, (base["alpha"], 0.0, 0.0))
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
     mode = "frobenius" if setting == "frobenius" else "full"
     threads = threading.active_count()
@@ -906,6 +921,7 @@ def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting
     parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
     assert threading.active_count() == threads
     assert same_training(serial, parallel)
+    assert (serial[3].tau_regularized > 0) == (setting == "alpha0")
 
 
 @pytest.mark.parametrize("workers", [1, 3])
