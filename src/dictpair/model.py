@@ -34,7 +34,12 @@ MODEL_MAGIC = "RADPL v1"
 @dataclass(frozen=True, kw_only=True)
 class Hyperparams:
     """Training hyperparameters; alpha/beta/lam weight the sparsity, locality,
-    and code-discrimination terms of the objective."""
+    and code-discrimination terms of the objective.
+
+    tau > 0 plays four roles in the solver: it smooths every reweighting entry
+    1/(2r + tau); it is the ridge tau I of the synthesis (D) system; at
+    alpha = 0 it is the ridge tau I of the analysis (P) system; and it floors
+    the denominator of the multiplicative S update."""
 
     alpha: float = 1e-4
     beta: float = 5e-3

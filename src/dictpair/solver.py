@@ -68,12 +68,13 @@ factorization (np.linalg.solve) and verified on every run (_checked_solve):
 a singular system, or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||),
 n the order of A (NaN too), raises NumericalError naming the solve. For
 alpha > 0 the analysis system is positive definite: its 4 alpha diag(h) term
-is, and every other term is semidefinite. So it is solved as built, and no
-guard runs. At alpha = 0 it is X_l C X_l', of rank at most N_l; only there
-is tau*I added, when A has no Cholesky factor or
-(min L_ii / max L_ii)^2 < 1/COND_GUARD, and TrainHistory.tau_regularized
-counts those solves. A non-finite A, and a non-finite objective in train,
-raise NumericalError as well.
+is, and every other term is semidefinite. So it is solved as built. At
+alpha = 0 it is X_l C X_l', of rank at most N_l, so tau*I is always added to
+it, as solve_synthesis always adds tau*I to the synthesis system. There the
+P step minimizes the surrogate plus (tau/2) ||P_l||_F^2, as the D step, before
+its column normalization, minimizes its fit term plus 2 tau ||D_l||_F^2 (the
+scales follow from the surrogate's 2 w r^2 rows). A non-finite A, and a
+non-finite objective in train, raise NumericalError as well.
 """
 
 import os
@@ -86,9 +87,6 @@ import numpy as np
 from .data import LabeledDataset
 from .model import ClassState, CodingState, DictionaryPair, Hyperparams, WeightState, init_state
 
-# at alpha = 0, tau*I is added to the analysis system when (min L_ii / max L_ii)^2
-# of its Cholesky factor falls below 1/COND_GUARD
-COND_GUARD = 1e12
 # |column sum| below which a synthesis atom falls back to the uniform column
 SUM_FLOOR = 1e-10
 
@@ -100,11 +98,7 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class TrainHistory:
-    """Per-iteration objective values, iterate deltas, and the stopping outcome.
-
-    tau_regularized counts the analysis solves that had tau*I added to their
-    system; only alpha = 0 systems can have it (see analysis_system).
-    """
+    """Per-iteration objective values, iterate deltas, and the stopping outcome."""
 
     objective_model: list[float] = field(default_factory=list)
     objective_relaxed: list[float] = field(default_factory=list)
@@ -114,7 +108,6 @@ class TrainHistory:
     delta_W: list[float] = field(default_factory=list)
     iterations_run: int = 0
     converged: bool = False
-    tau_regularized: int = 0
 
 
 def row_norms(R: np.ndarray) -> np.ndarray:
@@ -157,21 +150,6 @@ def update_reweights(norms: tuple, tau: float) -> tuple:
     return tuple(1.0 / (2.0 * r + tau) for r in norms)
 
 
-def _cholesky_guard(A: np.ndarray) -> bool:
-    """Whether A has a Cholesky factor L (A = L L') with
-    (min L_ii / max L_ii)^2 at least 1/COND_GUARD.
-
-    The diagonal of the triangular L holds its eigenvalues, so
-    (max L_ii / min L_ii)^2 is a lower bound on cond(A) = cond(L)^2: the test
-    fails only on systems whose 2-norm condition number exceeds COND_GUARD,
-    and costs one factorization instead of a full SVD."""
-    try:
-        d = np.diag(np.linalg.cholesky(A))
-    except np.linalg.LinAlgError:
-        return False
-    return (d.min() / d.max()) ** 2 >= 1.0 / COND_GUARD
-
-
 def _checked_solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     """Solve Y A = B by one LU factorization and verify it: a singular
     system, or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||) for A
@@ -200,9 +178,8 @@ def analysis_system(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """System matrix, right-hand side and guard outcome of the analysis
-    update P_l A = B.
+) -> tuple[np.ndarray, np.ndarray]:
+    """System matrix and right-hand side of the analysis update P_l A = B.
 
     In Gram form, with G = X X' over the whole dataset and Q = (I - W_l)(I - W_l)':
 
@@ -215,11 +192,10 @@ def analysis_system(
     B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with the replicated means
     M_l = m 1', Mbar_l = mbar 1', rewritten through Xbar_l Xbar_l' = G - X_l X_l'.
 
-    For alpha > 0, A is positive definite and (A, B, False) is returned.
-    Guard, at alpha = 0 only, where A = X_l C X_l' has rank at most N_l: when
-    A has no Cholesky factor A = L L', or (min L_ii / max L_ii)^2 <
-    1/COND_GUARD, (A + tau I, B, True) is returned. A non-finite A raises
-    NumericalError.
+    For alpha > 0, A is positive definite and (A, B) is returned as built.
+    At alpha = 0, where A = X_l C X_l' has rank at most N_l, (A + tau I, B) is
+    returned: the ridge of solve_synthesis, added whatever A's conditioning.
+    A non-finite A raises NumericalError.
     """
     n, N_l = X_l.shape
     E = np.eye(N_l) - W_l
@@ -233,10 +209,9 @@ def analysis_system(
     B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
     if not np.all(np.isfinite(A)):
         raise NumericalError("analysis system has non-finite entries")
-    regularized = hp.alpha == 0 and not _cholesky_guard(A)
-    if regularized:
+    if hp.alpha == 0:
         A[np.diag_indices(n)] += hp.tau
-    return A, B, regularized
+    return A, B
 
 
 def update_P(
@@ -249,15 +224,13 @@ def update_P(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-) -> tuple[np.ndarray, bool]:
-    """Closed-form analysis update P_l = B @ inv(A); see analysis_system.
-
-    The system is solved by LU and verified by _checked_solve. Returns P_l
-    and whether tau*I was added; m, mbar are the code means of the P_l being
-    replaced.
+) -> np.ndarray:
+    """Closed-form analysis update P_l = B @ inv(A); see analysis_system
+    (at alpha = 0, A carries tau I). The system is solved by LU and verified
+    by _checked_solve; m, mbar are the code means of the P_l being replaced.
     """
-    A, B, regularized = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
-    return _checked_solve(A, B, "analysis"), regularized
+    A, B = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
+    return _checked_solve(A, B, "analysis")
 
 
 def update_S(
@@ -317,19 +290,18 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     return np.eye(N_l) - M_inv / np.diag(M_inv)
 
 
-def sweep_class(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams) -> bool:
+def sweep_class(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams) -> None:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
     when beta > 0 (at beta = 0 nothing reads W), st.W of the class whose block
     is X_l to their updates under the diagonals st.h, st.u, st.v, which are
-    not refreshed. The P and D solves are verified (_checked_solve). Returns
-    whether tau*I was added to the analysis system."""
+    not refreshed. The P and D solves are verified (_checked_solve); the D
+    system always carries tau I, the P system only at alpha = 0."""
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
-    st.P, regularized = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
+    st.P = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
     st.S = update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
     st.D = update_D(X_l, st.S, st.v, hp.tau)
     if hp.beta:
         st.W = update_W(X_l, st.P)
-    return regularized
 
 
 def weight_term(X_l: np.ndarray, P_l: np.ndarray, W_l: np.ndarray) -> float:
@@ -518,10 +490,10 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
     on the new blocks' relaxed_row_norms (in mode "frobenius" st.v is not
     refreshed and keeps init_state's identity), then the squared changes of P,
     S, D, W and the class's objective terms (model, relaxed), each tuple in the
-    order its objective adds them up. Returns (tau*I added, squared changes, terms)."""
+    order its objective adds them up. Returns (squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
-    regularized = sweep_class(ds, X_l, st, hp)
+    sweep_class(ds, X_l, st, hp)
     norms = relaxed_row_norms(X_l, st.D, st.P, st.S)
     st.h, st.u, v = update_reweights(norms, hp.tau)
     if mode == "full":
@@ -531,7 +503,7 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
         np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
     )
     shared = _shared_terms(ds, X_l, st, hp, norms[0])
-    return regularized, squared, (_model_fit(X_l, st) + shared, _relaxed_fit(norms) + shared)
+    return squared, (_model_fit(X_l, st) + shared, _relaxed_fit(norms) + shared)
 
 
 def train(
@@ -565,13 +537,12 @@ def train(
     workers = _worker_count(len(states))
     for it in range(1, hp.max_iter + 1):
         steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode), len(states), workers)
-        history.tau_regularized += sum(regularized for regularized, _, _ in steps)
-        obj = _finite(_add_up(model for _, _, (model, _) in steps), f"model objective at iteration {it}")
-        relaxed = _add_up(relaxed for _, _, (_, relaxed) in steps)
+        obj = _finite(_add_up(model for _, (model, _) in steps), f"model objective at iteration {it}")
+        relaxed = _add_up(relaxed for _, (_, relaxed) in steps)
         history.objective_model.append(obj)
         history.objective_relaxed.append(_finite(relaxed, f"relaxed objective at iteration {it}"))
         for i, name in enumerate("PSDW"):
-            getattr(history, f"delta_{name}").append(float(np.sqrt(sum(squared[i] for _, squared, _ in steps))))
+            getattr(history, f"delta_{name}").append(float(np.sqrt(sum(squared[i] for squared, _ in steps))))
         history.iterations_run += 1
         if abs(obj - prev_obj) < hp.tol:
             history.converged = True

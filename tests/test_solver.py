@@ -137,16 +137,16 @@ def two_class_gram(X, Xbar):
 
 
 def test_update_P_identity_case(rng):
-    # X = I, U = I, alpha = beta = lam = 0: system is 4I, numerator 4S, so P = S
+    # X = I, U = I, alpha = beta = lam = 0: system is 4I + tau I (the alpha = 0
+    # ridge), numerator 4S, so P = 4S / (4 + tau)
     n = 4
     X = np.eye(n)
     S = np.abs(rng.standard_normal((2, n)))
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=2)
     W = np.zeros((n, n))
     m, mbar = solver.compute_means(np.zeros((2, n)), X, X.sum(axis=1), n)
-    P, regularized = solver.update_P(X, X @ X.T, S, W, np.ones(n), np.ones(n), m, mbar, hp)
-    np.testing.assert_allclose(P, S, rtol=0, atol=1e-12)
-    assert not regularized
+    P = solver.update_P(X, X @ X.T, S, W, np.ones(n), np.ones(n), m, mbar, hp)
+    np.testing.assert_allclose(P, 4.0 * S / (4.0 + hp.tau), rtol=1e-14, atol=0)
 
 
 def test_update_P_solve_residual(rng):
@@ -161,8 +161,8 @@ def test_update_P_solve_residual(rng):
         h = rng.uniform(0.5, 2.0, 5)
         m, mbar = solver.compute_means(rng.standard_normal((3, 5)), X, X.sum(axis=1) + Xbar.sum(axis=1), 14)
         G = two_class_gram(X, Xbar)
-        A, B, _ = solver.analysis_system(X, G, S, W, u, h, m, mbar, hp)
-        P, _ = solver.update_P(X, G, S, W, u, h, m, mbar, hp)
+        A, B = solver.analysis_system(X, G, S, W, u, h, m, mbar, hp)
+        P = solver.update_P(X, G, S, W, u, h, m, mbar, hp)
         assert np.linalg.norm(P @ A - B) < 1e-8 * np.linalg.norm(B)
 
 
@@ -179,33 +179,35 @@ def test_update_P_matches_lu_reference(rng, n, sizes):
         u = rng.uniform(0.5, 2.0, N)
         h = rng.uniform(0.5, 2.0, n)
         m, mbar = solver.compute_means(rng.standard_normal((3, n)), X, ds.sample_sum, ds.n_samples)
-        A, B, _ = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
-        P, regularized = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)
-        assert not regularized
+        A, B = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        P = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)
         assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
 
 
-def test_ratio_guard_on_positive_definite_system_takes_tau_and_lu(rng):
-    # at alpha = 0, one feature scaled by 1e-7 leaves A positive definite with
-    # cond(A) near 1e14: the Cholesky factor exists, but
-    # (min L_ii / max L_ii)^2 < 1/COND_GUARD
+@pytest.mark.parametrize("case", ["rank_deficient", "positive_definite"])
+def test_alpha0_analysis_system_carries_the_tau_ridge(rng, case):
+    # at alpha = 0, A = X_l C X_l' + tau I whatever A's conditioning: with
+    # N_l = 3 < n = 4, X_l C X_l' is singular; with N_l = 12 >= n and one
+    # feature scaled by 1e-7, it is positive definite with cond near 1e14
+    N_l = 3 if case == "rank_deficient" else 12
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=2, max_iter=3, tol=1e-12)
-    X_all = rng.uniform(0.5, 1.5, (4, 24))
-    X_all[-1] *= 1e-7
-    ds = partition_by_class(X_all, np.repeat([1, 2], 12))
+    X_all = rng.uniform(0.5, 1.5, (4, 2 * N_l))
+    if case == "positive_definite":
+        X_all[-1] *= 1e-7
+    ds = partition_by_class(X_all, np.repeat([1, 2], N_l))
     X = ds.class_matrix(1)
-    S = np.abs(rng.standard_normal((2, 12)))
-    u, h = rng.uniform(0.5, 2.0, 12), np.ones(4)
+    S = np.abs(rng.standard_normal((2, N_l)))
+    u, h, W = rng.uniform(0.5, 2.0, N_l), np.ones(4), np.zeros((N_l, N_l))
     A0 = 4.0 * (X * u) @ X.T
-    np.linalg.cholesky(A0)
-    A, B, regularized = solver.analysis_system(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
-    assert regularized
+    if case == "rank_deficient":
+        assert np.linalg.matrix_rank(A0) == N_l
+    else:
+        np.linalg.cholesky(A0)
+    A, B = solver.analysis_system(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
     np.testing.assert_allclose(A, A0 + hp.tau * np.eye(4), rtol=1e-14, atol=0)
-    P, regularized = solver.update_P(X, ds.gram, S, np.zeros((12, 12)), u, h, np.zeros(2), np.zeros(2), hp)
-    assert regularized
+    P = solver.update_P(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
     assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
-    history = train(ds, hp)[3]
-    assert history.tau_regularized == ds.n_classes * history.iterations_run > 0
+    assert train(ds, hp)[3].iterations_run >= 1
 
 
 def test_update_P_mean_independence_when_lam_zero(rng):
@@ -220,8 +222,8 @@ def test_update_P_mean_independence_when_lam_zero(rng):
     m1 = rng.standard_normal(2)
     m2 = rng.standard_normal(2)
     G = two_class_gram(X, Xbar)
-    P1, _ = solver.update_P(X, G, S, W, u, h, m1, 2 * m1, hp)
-    P2, _ = solver.update_P(X, G, S, W, u, h, m2, -m2, hp)
+    P1 = solver.update_P(X, G, S, W, u, h, m1, 2 * m1, hp)
+    P2 = solver.update_P(X, G, S, W, u, h, m2, -m2, hp)
     assert np.array_equal(P1, P2)
 
 
@@ -270,9 +272,8 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         h = rng.uniform(0.5, 2.0, n)
         P = rng.standard_normal((k, n))
         m, mbar = solver.compute_means(P, X, ds.sample_sum, ds.n_samples)
-        A, B, regularized = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        A, B = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
         A_ref, B_ref = explicit_complement_system(X, Xbar, S, W, u, h, P, hp)
-        assert not regularized
         assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
         assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
         states.append(ClassState(rng.standard_normal((n, k)), P, S, W, h, u, np.ones(N)))
@@ -562,18 +563,17 @@ def test_train_structure_invariants(trained_standard):
 
 def test_train_verifies_every_solve_on_both_guard_paths(standard_split, standard_hp, monkeypatch):
     # train raises on any solve that fails the backward-error check, every
-    # iteration; the Cholesky guard runs only at alpha = 0, once per P solve
+    # iteration, and tests no system by a Cholesky factorization: at alpha > 0
+    # the analysis system is solved as built
     train_ds, _ = standard_split
     cholesky, factored = np.linalg.cholesky, []
     monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
-    history = train(train_ds, standard_hp)[3]
-    assert history.tau_regularized == 0
+    assert train(train_ds, standard_hp)[3].iterations_run >= 1
     assert factored == []
-    # also through the singular-guard path (alpha = 0 leaves the system rank-deficient)
+    # and at alpha = 0, where it carries the tau ridge (X_l C X_l' alone is rank-deficient)
     hp = dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)
-    history = train(train_ds, hp)[3]
-    assert history.tau_regularized == train_ds.n_classes * history.iterations_run
-    assert len(factored) == train_ds.n_classes * history.iterations_run
+    assert train(train_ds, hp)[3].iterations_run >= 1
+    assert factored == []
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -592,10 +592,10 @@ def test_train_presets_pass_the_solve_check(request, preset, data):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
 def test_analysis_systems_of_every_preset_are_positive_definite(request, monkeypatch, preset, data):
-    # the premise that lets alpha > 0 skip the Cholesky guard: every analysis
-    # system train builds has a positive smallest eigenvalue, by more than the
-    # n eps ||A||_2 an eigensolver can be off (pie comes closest, near
-    # 8e-13 ||A||_2 at n = 20)
+    # the premise that lets alpha > 0 solve the analysis system without the
+    # tau ridge: every analysis system train builds has a positive smallest
+    # eigenvalue, by more than the n eps ||A||_2 an eigensolver can be off
+    # (pie comes closest, near 8e-13 ||A||_2 at n = 20)
     train_ds, _ = request.getfixturevalue(f"{data}_split")
     alpha, beta, lam = PRESETS[preset]
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
@@ -603,15 +603,14 @@ def test_analysis_systems_of_every_preset_are_positive_definite(request, monkeyp
     analysis_system, worst = solver.analysis_system, []
 
     def recorded(*args):
-        A, B, regularized = analysis_system(*args)
+        A, B = analysis_system(*args)
         eigenvalues = np.linalg.eigvalsh(A)
         worst.append(eigenvalues[0] / (len(A) * np.finfo(float).eps * eigenvalues[-1]))
-        return A, B, regularized
+        return A, B
 
     monkeypatch.setattr(solver, "analysis_system", recorded)
     history = train(train_ds, hp)[3]
     assert len(worst) == train_ds.n_classes * history.iterations_run
-    assert history.tau_regularized == 0
     assert min(worst) > 1.0
 
 
@@ -627,11 +626,11 @@ def test_solve_check_accepts_backward_stable_solves_at_high_condition():
     ds = partition_by_class(np.hstack(blocks), np.repeat([1, 2, 3], 25))
     train_ds, _ = split(ds, 15, 109)
     hp = Hyperparams(alpha=1e-3, beta=0.0, lam=0.0, atoms_per_class=3, seed=4)
-    assert train(train_ds, hp, mode="frobenius")[3].tau_regularized == 0
+    assert train(train_ds, hp, mode="frobenius")[3].iterations_run >= 1
 
 
 def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monkeypatch):
-    # at alpha > 0 no guard runs: each update is one LU solve of its system
+    # each update is one LU solve of its system, with no Cholesky factorization
     train_ds, _ = standard_split
     assert standard_hp.alpha > 0
     st = init_state(train_ds, standard_hp)[0]
@@ -783,10 +782,6 @@ def test_train_fetches_each_class_block_once_per_iteration(standard_split, stand
     assert sorted(calls) == sorted(list(range(1, c + 1)) * 3)
 
 
-def test_train_counts_no_guard_on_standard_config(trained_standard):
-    assert trained_standard[3].tau_regularized == 0
-
-
 def test_train_nonfinite_data_raises_numerical_error(standard_split, standard_hp):
     # built directly, past partition_by_class, which rejects non-finite columns
     train_ds, _ = standard_split
@@ -877,8 +872,7 @@ def test_P_and_W_steps_never_raise_the_surrogate(corrupt_split, corrupt_hp, monk
             X_l = train_ds.class_matrix(l + 1)
             m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
             before = surrogate_relaxed(train_ds, states, hp)
-            st.P, regularized = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
-            assert not regularized
+            st.P = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
             rise(before)
             st.S = solver.update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
             st.D = solver.update_D(X_l, st.S, st.v, hp.tau)
@@ -909,7 +903,7 @@ def same_training(a, b) -> bool:
 @pytest.mark.parametrize("setting", sorted(PRESETS) + ["alpha0", "beta0-lambda0", "frobenius"])
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
 def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting, data):
-    # alpha0 is the one setting whose analysis solves take the tau*I path
+    # alpha0 is the one setting whose analysis systems carry the tau ridge
     train_ds, _ = request.getfixturevalue(f"{data}_split")
     base = STANDARD_HP if data == "standard" else CORRUPT_HP
     settings = {**PRESETS, "alpha0": (0.0, base["beta"], base["lam"])}
@@ -921,7 +915,6 @@ def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting
     parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
     assert threading.active_count() == threads
     assert same_training(serial, parallel)
-    assert (serial[3].tau_regularized > 0) == (setting == "alpha0")
 
 
 @pytest.mark.parametrize("workers", [1, 3])
