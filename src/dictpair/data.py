@@ -10,9 +10,11 @@ model files, and ``read_end`` rejects what either file holds after its last
 block; ``parse_tokens`` converts every token of a matrix, label or model
 file, so a bad one is ``<file>, line <N>: expected a number, got '<token>'``.
 ``read_block`` turns each line into its own float array (short lines are
-gathered first) and joins them once, so reading a block peaks at about twice
-the block's bytes; the header is never allocated up front, so a huge one
-fails on the missing values.
+gathered first), rejecting a NaN or infinite value as it converts it (``<file>,
+line <N>: non-finite value '<token>' at row <r>, column <c>``), and joins them
+once, so reading a block peaks at about twice the block's bytes; the header is
+never allocated up front, so a huge one fails on the missing values. Each
+matrix, label or model file is read in one pass, so an input may be a pipe.
 ``write_rows`` is the one 17-digit formatter, of those blocks and of
 ``metrics.write_csv_matrix``; ``check_block`` rejects, before a file is
 written, a block that the readers would reject.
@@ -118,8 +120,8 @@ def read_block(lines, path) -> np.ndarray:
     ``rows*cols`` values over any number of lines, streamed from ``lines``, an
     ``enumerate(fh, start=1)`` that is left just after the block's last line.
 
-    Each line's values become one float array (``_line_floats``; short lines
-    are gathered up to READ_PART_VALUES values first), and the arrays are
+    Each line's values become one finite float array (``_line_floats``; short
+    lines are gathered up to READ_PART_VALUES values first), and the arrays are
     joined once at the end, so the peak is about twice the block's bytes.
     Nothing is allocated from the header's size."""
     lineno, line = next(lines, (None, ""))
@@ -139,25 +141,35 @@ def read_block(lines, path) -> np.ndarray:
         count += len(tokens)
         waiting += len(tokens)
         if waiting >= READ_PART_VALUES or count >= size:
-            parts.append(_line_floats(pending, path))
+            parts.append(_line_floats(pending, path, count - waiting, cols))
             pending, waiting = [], 0
         if count > size:
             raise ValueError(f"{path}, line {lineno}: expected {size} values for a {rows}x{cols} matrix, found more")
         if count == size:
             return np.concatenate(parts).reshape(rows, cols)
-    _line_floats(pending, path)  # a bad token is named before the missing values
+    _line_floats(pending, path, count - waiting, cols)  # a bad token is named before the missing values
     raise ValueError(f"{path}: expected {size} values for a {rows}x{cols} matrix, found {count}")
 
 
-def _line_floats(pending, path) -> np.ndarray:
-    """The values of consecutive lines, a list of ``(lineno, tokens)``, as one
-    float array, each token parsed as ``float`` parses it; a bad token is the
-    ``parse_tokens`` error that names its file and line."""
+def _line_floats(pending, path, start, cols) -> np.ndarray:
+    """The values of consecutive lines, a list of ``(lineno, tokens)`` from
+    value ``start`` of a ``cols``-column block on, as one float array, each
+    token parsed as ``float`` parses it; a bad token is the ``parse_tokens``
+    error, a NaN or infinite one names its line, row and column."""
     tokens = pending[0][1] if len(pending) == 1 else [t for _, line in pending for t in line]
     try:
-        return np.array(tokens, dtype=float)
+        values = np.array(tokens, dtype=float)
     except ValueError:
-        return np.array([v for lineno, line in pending for v in parse_tokens(line, float, path, lineno)])
+        values = np.array([v for lineno, line in pending for v in parse_tokens(line, float, path, lineno)])
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        row, col = divmod(start + i, cols)
+        for lineno, line in pending:
+            if i < len(line):
+                raise ValueError(f"{path}, line {lineno}: non-finite value {line[i]!r} at row {row}, column {col}")
+            i -= len(line)
+    return values
 
 
 def read_end(lines, path, expected: str) -> None:
@@ -203,24 +215,13 @@ def write_block(fh, M: np.ndarray) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from the text format ``rows cols`` + values.
 
-    Rejects values left over after the block and a NaN or infinite value,
-    naming the file and its position.
+    Rejects a NaN or infinite value and values left over after the block,
+    naming the file and line, in one pass (``path`` may be a pipe).
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = enumerate(fh, start=1)
         M = read_block(lines, path)
         read_end(lines, path, f"expected {M.size} values for a {M.shape[0]}x{M.shape[1]} matrix")
-    finite = np.isfinite(M)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        row, col = divmod(i, M.shape[1])
-        with open(path, "r", encoding="ascii") as fh:  # error path: quote the token as written
-            next(fh)  # the header
-            for tokens in map(str.split, fh):
-                if i < len(tokens):
-                    break
-                i -= len(tokens)
-        raise ValueError(f"{path}: non-finite value {tokens[i]!r} at row {row}, column {col}")
     return M
 
 

@@ -198,9 +198,9 @@ def save_model(path, pair: DictionaryPair, hp: Hyperparams) -> None:
 
 
 def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
-    """Load a model file written by save_model; a non-numeric token, a class count,
-    dimension or atom count below one, a non-finite hyperparameter or D/P entry,
-    or content after the last block is a ValueError naming the file."""
+    """Load a model file written by save_model, in one pass; a non-numeric token,
+    a class count, dimension or atom count below one, a non-finite hyperparameter
+    or D/P entry, or content after the last block is a ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
         lines = enumerate(fh, start=1)
         magic = next(lines, (0, ""))[1].strip()
@@ -239,8 +239,6 @@ def load_model(path) -> tuple[DictionaryPair, Hyperparams]:
             P_l = read_block(lines, path)
             if D_l.shape != (n, ks[l]) or P_l.shape != (ks[l], n):
                 raise ValueError(f"{path}: class {l + 1} block shapes {D_l.shape}, {P_l.shape} mismatch header")
-            check_block(D_l, f"{path}: class {l + 1} block D_{l + 1}")
-            check_block(P_l, f"{path}: class {l + 1} block P_{l + 1}")
             D.append(D_l)
             P.append(P_l)
         read_end(lines, path, f"expected nothing after block P_{c}")

@@ -2,6 +2,7 @@
 cli.main so exit codes and output can be asserted directly."""
 
 import csv
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -353,12 +354,33 @@ def test_eval_rejects_non_finite_model_entry(workdir, capsys):
     run(capsys, *synth_args(workdir / "d"))
     run(capsys, *train_args(workdir / "d", workdir / "m.model"))
     lines = (workdir / "m.model").read_text().splitlines()
-    lines[-1] = "nan " + lines[-1].split(" ", 1)[1]  # last row of P_2
+    lines[-1] = "nan " + lines[-1].split(" ", 1)[1]  # last row of P_2 (2 x 5)
     (workdir / "m.model").write_text("\n".join(lines) + "\n")
     rc, out, err = run(capsys, "eval", "--data", f"{workdir}/d.mat",
                        "--labels", f"{workdir}/d.labels", "--model", f"{workdir}/m.model")
     assert rc == 2 and out == ""
-    assert "error: " in err and "m.model: class 2 block P_2" in err and "Traceback" not in err
+    assert f"error: {workdir}/m.model, line {len(lines)}: non-finite value 'nan' at row 1, column 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_eval_rejects_non_finite_data_from_a_pipe(workdir, capsys):
+    # the test matrix is read once, so it may be a pipe, as `--data <(...)` is
+    run(capsys, *synth_args(workdir / "d"))
+    run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    lines = (workdir / "d.mat").read_text().splitlines()
+    lines[1] = "nan " + lines[1].split(" ", 1)[1]
+    r, w = os.pipe()
+    try:
+        os.write(w, ("\n".join(lines) + "\n").encode())
+        os.close(w)
+        rc, out, err = run(capsys, "eval", "--data", f"/dev/fd/{r}",
+                           "--labels", f"{workdir}/d.labels", "--model", f"{workdir}/m.model")
+    finally:
+        os.close(r)
+    assert rc == 2 and out == ""
+    assert f"error: /dev/fd/{r}, line 2: non-finite value 'nan' at row 0, column 0" in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_more_model_classes_than_labels(workdir, capsys):

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -71,19 +72,32 @@ def test_load_malformed_block_names_line(tmp_path, text, message):
         data.load_matrix(p)
 
 
-@pytest.mark.parametrize("text, token, where", [
-    ("2 2\n1 2\n3 nan\n", "nan", "row 1, column 1"),
-    ("2 2\n1 2\n3 inf\n", "inf", "row 1, column 1"),
-    ("2 2\n1 2\n3 -inf\n", "-inf", "row 1, column 1"),
-    ("2 2\n1 2\n3 NaN\n", "NaN", "row 1, column 1"),
+@pytest.mark.parametrize("text, line, token, where", [
+    ("2 2\n1 2\n3 nan\n", 3, "nan", "row 1, column 1"),
+    ("2 2\n1 2\n3 inf\n", 3, "inf", "row 1, column 1"),
+    ("2 2\n1 2\n3 -inf\n", 3, "-inf", "row 1, column 1"),
+    ("2 2\n1 2\n3 NaN\n", 3, "NaN", "row 1, column 1"),
     # quoted from the line it sits on, counted over lines of uneven length
-    ("2 3\n1\n\n2 3 4\n5 -Infinity\n", "-Infinity", "row 1, column 2"),
+    ("2 3\n1\n\n2 3 4\n5 -Infinity\n", 5, "-Infinity", "row 1, column 2"),
 ], ids=["nan", "inf", "-inf", "NaN", "later-uneven-line"])
-def test_load_non_finite(tmp_path, text, token, where):
+def test_load_non_finite(tmp_path, text, line, token, where):
     p = tmp_path / "m.txt"
     p.write_text(text)
-    with pytest.raises(ValueError, match=rf"m\.txt: non-finite value '{token}' at {where}"):
+    with pytest.raises(ValueError, match=rf"m\.txt, line {line}: non-finite value '{token}' at {where}"):
         data.load_matrix(p)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_non_finite_from_a_pipe():
+    # the file is read once: a pipe cannot be reopened to quote the token
+    r, w = os.pipe()
+    try:
+        os.write(w, b"2 2\n1 2\nnan 4\n")
+        os.close(w)
+        with pytest.raises(ValueError, match=rf"/dev/fd/{r}, line 3: non-finite value 'nan' at row 1, column 0"):
+            data.load_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
 
 
 @pytest.mark.parametrize("shape", [(300, 400), (20000, 1)], ids=["rows", "one-column"])

@@ -138,7 +138,7 @@ def test_model_rejects_non_finite_block(tmp_path):
     assert lines[10] == "2 5"
     lines[11] = "nan " + lines[11].split(" ", 1)[1]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"m\.model: class 1 block P_1: non-finite value nan at row 0, column 0"):
+    with pytest.raises(ValueError, match=r"m\.model, line 12: non-finite value 'nan' at row 0, column 0"):
         load_model(path)
 
 

@@ -561,19 +561,19 @@ def test_train_structure_invariants(trained_standard):
     assert history.converged
 
 
-def test_train_verifies_every_solve_on_both_guard_paths(standard_split, standard_hp, monkeypatch):
-    # train raises on any solve that fails the backward-error check, every
-    # iteration, and tests no system by a Cholesky factorization: at alpha > 0
-    # the analysis system is solved as built
+def test_train_checks_every_analysis_and_synthesis_solve(standard_split, standard_hp, monkeypatch):
+    # every P and D update, of every class and iteration, goes through the one
+    # checked LU solve, at alpha > 0 and at alpha = 0, where the analysis
+    # system carries the tau ridge (X_l C X_l' alone is rank-deficient)
     train_ds, _ = standard_split
-    cholesky, factored = np.linalg.cholesky, []
-    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
-    assert train(train_ds, standard_hp)[3].iterations_run >= 1
-    assert factored == []
-    # and at alpha = 0, where it carries the tau ridge (X_l C X_l' alone is rank-deficient)
-    hp = dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)
-    assert train(train_ds, hp)[3].iterations_run >= 1
-    assert factored == []
+    checked_solve, solves = solver._checked_solve, []
+    monkeypatch.setattr(solver, "_checked_solve", lambda A, B, what: solves.append(what) or checked_solve(A, B, what))
+    for hp in (standard_hp, dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)):
+        solves.clear()
+        iterations = train(train_ds, hp)[3].iterations_run
+        assert iterations >= 1
+        assert len(solves) == 2 * train_ds.n_classes * iterations
+        assert solves.count("analysis") == solves.count("synthesis")
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
