@@ -141,27 +141,28 @@ def read_block(lines, path) -> np.ndarray:
         count += len(tokens)
         waiting += len(tokens)
         if waiting >= READ_PART_VALUES or count >= size:
-            parts.append(_line_floats(pending, path, count - waiting, cols))
+            parts.append(_line_floats(pending, path, count - waiting, size, cols))
             pending, waiting = [], 0
         if count > size:
             raise ValueError(f"{path}, line {lineno}: expected {size} values for a {rows}x{cols} matrix, found more")
         if count == size:
             return np.concatenate(parts).reshape(rows, cols)
-    _line_floats(pending, path, count - waiting, cols)  # a bad token is named before the missing values
+    _line_floats(pending, path, count - waiting, size, cols)  # a bad token is named before the missing values
     raise ValueError(f"{path}: expected {size} values for a {rows}x{cols} matrix, found {count}")
 
 
-def _line_floats(pending, path, start, cols) -> np.ndarray:
+def _line_floats(pending, path, start, size, cols) -> np.ndarray:
     """The values of consecutive lines, a list of ``(lineno, tokens)`` from
-    value ``start`` of a ``cols``-column block on, as one float array, each
-    token parsed as ``float`` parses it; a bad token is the ``parse_tokens``
-    error, a NaN or infinite one names its line, row and column."""
+    value ``start`` of a ``size``-value, ``cols``-column block on, as one float
+    array, each token parsed as ``float`` parses it; a bad token is the
+    ``parse_tokens`` error, a NaN or infinite one within the block names its
+    line, row and column (a value past the block is left to read_block's count)."""
     tokens = pending[0][1] if len(pending) == 1 else [t for _, line in pending for t in line]
     try:
         values = np.array(tokens, dtype=float)
     except ValueError:
         values = np.array([v for lineno, line in pending for v in parse_tokens(line, float, path, lineno)])
-    finite = np.isfinite(values)
+    finite = np.isfinite(values[: size - start])
     if not finite.all():
         i = int(np.argmin(finite))
         row, col = divmod(start + i, cols)

@@ -36,12 +36,13 @@ D_l (ridge solve + column-sum normalization) and, when beta > 0, weights W_l
 inverse; see update_W). It then forms the row norms of the relaxed problem's
 three l2,1 terms once (relaxed_row_norms), refreshes the diagonals from them
 (update_reweights; v only in mode "full") and returns the class's squared
-block changes and its terms of both objectives: the model fit (_model_fit),
-the relaxed fits as sums of those norms (_relaxed_fit) and the terms both
-share (_shared_terms). objective_model, objective_relaxed and
-surrogate_relaxed are three calls of one class loop (_score) over the same
-functions. The loop stops when the model objective changes by less than tol
-between consecutive sweeps.
+block changes and its terms of the model and relaxed objectives. One function,
+_class_terms, writes every per-class term once: from the class block and its
+relaxed_row_norms it forms the penalties once and returns the model, relaxed
+and surrogate tuples. objective_model, objective_relaxed and surrogate_relaxed
+are each one call of the one class loop (_score), which selects its tuple. The
+loop stops when the model objective changes by less than tol between
+consecutive sweeps.
 
 Class parallelism: the calling thread and _worker_count() - 1 helper threads
 run the class steps, each taking the lowest class not yet taken; the count is
@@ -315,39 +316,36 @@ def weight_term(X_l: np.ndarray, P_l: np.ndarray, W_l: np.ndarray) -> float:
     )
 
 
-def _penalties(ds: LabeledDataset, X_l, P_l, W_l, hp: Hyperparams) -> float:
-    """The terms every objective shares: alpha * ||P_l Xbar_l||_F^2 (in Gram
-    form) and the beta (locality, weight_term) and lam (code-discrimination)
-    penalties."""
-    PX = P_l @ X_l
-    total = hp.alpha * float(np.sum((P_l @ ds.gram - PX @ X_l.T) * P_l))
+def _class_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, norms: tuple) -> tuple:
+    """Class l's term tuples of the model, relaxed and surrogate objectives,
+    each in the order its objective adds them up, from the class block X_l
+    and its relaxed_row_norms: the fit through P then D (model), or the
+    synthesis and analysis fits (relaxed and, a row of norm r with diagonal
+    entry w counting 2 w r^2, surrogate); then alpha * ||P_l'||_21, and last
+    the penalties all three share: alpha * ||P_l Xbar_l||_F^2 (in Gram form)
+    and the beta (weight_term) and lam (code-discrimination) terms. Only the
+    surrogate tuple reads the diagonals, and only it and the relaxed tuple S_l."""
+    r_h, r_u, r_v = norms
+    PX = st.P @ X_l
+    penalties = hp.alpha * float(np.sum((st.P @ ds.gram - PX @ X_l.T) * st.P))
     if hp.beta:
-        total += hp.beta * weight_term(X_l, P_l, W_l)
+        penalties += hp.beta * weight_term(X_l, st.P, st.W)
     if hp.lam:
         N_l = X_l.shape[1]
-        m, mbar = compute_means(P_l, X_l, ds.sample_sum, ds.n_samples)
-        total += hp.lam * (
+        m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
+        penalties += hp.lam * (
             np.linalg.norm(PX - m[:, None]) ** 2 - N_l * np.linalg.norm(PX - mbar[:, None]) ** 2
         )
-    return total
-
-
-def _shared_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, p_norms) -> tuple:
-    """Class l's terms that the model and relaxed objectives share, in the
-    order both add them up: alpha * ||P_l'||_21, from p_norms (the row norms
-    of P_l'), and the penalties."""
-    return hp.alpha * float(np.sum(p_norms)), _penalties(ds, X_l, st.P, st.W, hp)
-
-
-def _model_fit(X_l: np.ndarray, st: ClassState) -> tuple:
-    """Class l's reconstruction term of the model objective (through P then D)."""
-    return (float(np.sum(row_norms(X_l.T - X_l.T @ st.P.T @ st.D.T))),)
-
-
-def _relaxed_fit(norms: tuple) -> tuple:
-    """Class l's two fit terms of the relaxed objective (synthesis, then
-    analysis) from its relaxed_row_norms."""
-    return float(np.sum(norms[2])), float(np.sum(norms[1]))
+    sparsity = hp.alpha * float(np.sum(r_h))
+    model = float(np.sum(row_norms(X_l.T - X_l.T @ st.P.T @ st.D.T))), sparsity, penalties
+    relaxed = float(np.sum(r_v)), float(np.sum(r_u)), sparsity, penalties
+    surrogate = (
+        2.0 * float(np.sum(st.v * r_v**2)),
+        2.0 * float(np.sum(st.u * r_u**2)),
+        hp.alpha * 2.0 * float(np.sum(st.h * r_h**2)),
+        penalties,
+    )
+    return model, relaxed, surrogate
 
 
 def _add_up(terms) -> float:
@@ -360,48 +358,39 @@ def _add_up(terms) -> float:
     return total
 
 
-def _score(ds: LabeledDataset, states: list[ClassState], class_terms) -> float:
-    """_add_up of class_terms(X_l, st) over the records in class order, with
-    X_l = ds.class_matrix(l + 1); the one class loop of every objective."""
-    return _add_up(class_terms(ds.class_matrix(l + 1), st) for l, st in enumerate(states))
+def _score(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams, which: int) -> float:
+    """_add_up of tuple `which` of _class_terms (0 model, 1 relaxed, 2
+    surrogate) over the records in class order, each class's block
+    ds.class_matrix(l + 1) and its relaxed_row_norms formed once; the one
+    class loop of every objective."""
+    blocks = (ds.class_matrix(l + 1) for l in range(len(states)))
+    return _add_up(
+        _class_terms(ds, X_l, st, hp, relaxed_row_norms(X_l, st.D, st.P, st.S))[which]
+        for X_l, st in zip(blocks, states)
+    )
 
 
 def objective_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with explicit codes; row-sum norms unsmoothed."""
-
-    def class_terms(X_l: np.ndarray, st: ClassState) -> tuple:
-        norms = relaxed_row_norms(X_l, st.D, st.P, st.S)
-        return _relaxed_fit(norms) + _shared_terms(ds, X_l, st, hp, norms[0])
-
-    return _score(ds, states, class_terms)
+    return _score(ds, states, hp, 1)
 
 
 def objective_model(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
-    """Model objective with codes eliminated (reconstruction through P then D);
-    the records' S and diagonals are not read."""
-    return _score(
-        ds, states, lambda X_l, st: _model_fit(X_l, st) + _shared_terms(ds, X_l, st, hp, row_norms(st.P.T))
-    )
+    """Model objective with codes eliminated (reconstruction through P then D).
+    The records' S and diagonals are read, for the other objectives' terms
+    that _class_terms forms alongside, but do not change the value."""
+    return _score(ds, states, hp, 0)
 
 
 def surrogate_relaxed(ds: LabeledDataset, states: list[ClassState], hp: Hyperparams) -> float:
     """Relaxed objective with every row-sum norm replaced by its weighted
-    quadratic (trace) form under the records' diagonals: a row of norm r with
-    diagonal entry w contributes 2 w r^2 (see the module docstring for what
-    that majorizes). A sweep run with frozen diagonals is expected not to
-    increase this quantity; the P step at lam = 0 and the W step (exact on
-    diag(W_l) = 0) minimize it over their block."""
-
-    def class_terms(X_l: np.ndarray, st: ClassState) -> tuple:
-        r_h, r_u, r_v = relaxed_row_norms(X_l, st.D, st.P, st.S)
-        return (
-            2.0 * float(np.sum(st.v * r_v**2)),
-            2.0 * float(np.sum(st.u * r_u**2)),
-            hp.alpha * 2.0 * float(np.sum(st.h * r_h**2)),
-            _penalties(ds, X_l, st.P, st.W, hp),
-        )
-
-    return _score(ds, states, class_terms)
+    quadratic (trace) form under the records' diagonals, the surrogate tuple
+    of _class_terms: a row of norm r with diagonal entry w contributes
+    2 w r^2 (see the module docstring for what that majorizes). A sweep run
+    with frozen diagonals is expected not to increase this quantity; the P
+    step at lam = 0 and the W step (exact on diag(W_l) = 0) minimize it over
+    their block."""
+    return _score(ds, states, hp, 2)
 
 
 def _finite(value: float, what: str) -> float:
@@ -489,8 +478,8 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
     """One iteration of class l on its record: sweep_class, update_reweights
     on the new blocks' relaxed_row_norms (in mode "frobenius" st.v is not
     refreshed and keeps init_state's identity), then the squared changes of P,
-    S, D, W and the class's objective terms (model, relaxed), each tuple in the
-    order its objective adds them up. Returns (squared changes, terms)."""
+    S, D, W and the class's model and relaxed tuples of _class_terms, taken on
+    the new blocks and their norms. Returns (squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
     sweep_class(ds, X_l, st, hp)
@@ -502,8 +491,7 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
     squared = tuple(
         np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
     )
-    shared = _shared_terms(ds, X_l, st, hp, norms[0])
-    return squared, (_model_fit(X_l, st) + shared, _relaxed_fit(norms) + shared)
+    return squared, _class_terms(ds, X_l, st, hp, norms)[:2]
 
 
 def train(

@@ -62,9 +62,11 @@ def test_load_values_over_any_lines(tmp_path):
     ("600 1\n" + "1\n" * 599 + "1 2\n", r"m\.txt, line 601: expected 600 values for a 600x1 matrix, found more"),
     ("600 1\n" + "1\n" * 10 + "x\n", r"m\.txt, line 12: expected a number, got 'x'"),
     ("4 1\n1\nx\n1\n1 2\n", r"m\.txt, line 3: expected a number, got 'x'"),
+    # a non-finite value past the block's last value is part of the overflow, not a row of the block
+    ("2 2\n1 2\n3 4 nan\n", r"m\.txt, line 3: expected 4 values for a 2x2 matrix, found more"),
 ], ids=["empty", "non-integer-header", "negative-header", "overfull-line", "values-left-over", "huge-header",
         "bad-token-among-short-lines", "overfull-after-short-lines", "bad-token-in-a-truncated-block",
-        "bad-token-before-an-overfull-line"])
+        "bad-token-before-an-overfull-line", "non-finite-past-the-block"])
 def test_load_malformed_block_names_line(tmp_path, text, message):
     p = tmp_path / "m.txt"
     p.write_text(text)
@@ -79,7 +81,9 @@ def test_load_malformed_block_names_line(tmp_path, text, message):
     ("2 2\n1 2\n3 NaN\n", 3, "NaN", "row 1, column 1"),
     # quoted from the line it sits on, counted over lines of uneven length
     ("2 3\n1\n\n2 3 4\n5 -Infinity\n", 5, "-Infinity", "row 1, column 2"),
-], ids=["nan", "inf", "-inf", "NaN", "later-uneven-line"])
+    # within the block on the line that overfills it: named before the overflow
+    ("2 2\n1 2\nnan 4 5\n", 3, "nan", "row 1, column 0"),
+], ids=["nan", "inf", "-inf", "NaN", "later-uneven-line", "inside-an-overfull-line"])
 def test_load_non_finite(tmp_path, text, line, token, where):
     p = tmp_path / "m.txt"
     p.write_text(text)

@@ -496,11 +496,15 @@ def test_objectives_match_reference(rng):
     got = objective_relaxed(ds, states, hp)
     want = reference_objective(ds, states, hp, relaxed=True)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
-    got = objective_model(ds, states, hp)
+    model = objective_model(ds, states, hp)
     want = reference_objective(ds, states, hp, relaxed=False)
-    assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+    assert abs(model - want) < 1e-12 * max(1.0, abs(want))
     for st in states:
+        st.S = 3.0 * st.S
         st.h, st.u, st.v = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+    # the model objective is formed with the others' terms, which read S and
+    # the diagonals, but depends on neither
+    assert objective_model(ds, states, hp) == model
     got = surrogate_relaxed(ds, states, hp)
     want = reference_objective(ds, states, hp, relaxed=True, surrogate=True)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
@@ -719,26 +723,43 @@ def records_after(monkeypatch, ds, hp, mode, iterations):
     return records
 
 
-@pytest.mark.parametrize("setting", ["full", "beta0-lambda0", "frobenius"])
-def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_hp, setting):
-    # mode full at beta = lam = 0 never updates W
+# the 1-iteration cases keep the plain setting ids
+ITERATION_SETTINGS = ["full", "beta0-lambda0", "frobenius"]
+
+
+@pytest.mark.parametrize(
+    "setting, iterations",
+    [(setting, 1) for setting in ITERATION_SETTINGS] + [(setting, 3) for setting in ITERATION_SETTINGS],
+    ids=ITERATION_SETTINGS + [f"{setting}-3-iterations" for setting in ITERATION_SETTINGS],
+)
+def test_train_iteration_is_sweep_class_then_reweights(standard_split, standard_hp, setting, iterations):
+    # mode full at beta = lam = 0 never updates W. From iteration 2 on the
+    # class step scores records whose diagonals it has refreshed before
     train_ds, _ = standard_split
-    hp = dataclasses.replace(standard_hp, max_iter=1)
+    hp = dataclasses.replace(standard_hp, max_iter=iterations, tol=1e-300)
     if setting != "full":
         hp = dataclasses.replace(hp, beta=0.0, lam=0.0)
     mode = "frobenius" if setting == "frobenius" else "full"
     pair, codes, weights, history = train(train_ds, hp, mode=mode)
+    assert history.iterations_run == iterations
     states = init_state(train_ds, hp)
-    # explicit copies, independent of the old blocks train's class step keeps
-    old = {name: [getattr(st, name).copy() for st in states] for name in "PSDW"}
-    iterate_by_hand(train_ds, states, hp, mode)
+    want = {key: [] for key in ["objective_model", "objective_relaxed"] + [f"delta_{name}" for name in "PSDW"]}
+    for _ in range(iterations):
+        # explicit copies, independent of the old blocks train's class step keeps
+        old = {name: [getattr(st, name).copy() for st in states] for name in "PSDW"}
+        iterate_by_hand(train_ds, states, hp, mode)
+        for name in "PSDW":
+            # C-order differences, as train takes them
+            new = [getattr(st, name) for st in states]
+            squared = sum(np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old[name], new))
+            want[f"delta_{name}"].append(float(np.sqrt(squared)))
+        want["objective_model"].append(objective_model(train_ds, states, hp))
+        want["objective_relaxed"].append(objective_relaxed(train_ds, states, hp))
     for got, name in [(pair.P, "P"), (pair.D, "D"), (codes.S, "S"), (weights.W, "W")]:
-        want = [getattr(st, name) for st in states]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-        delta = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(old[name], want)))
-        assert getattr(history, f"delta_{name}") == [delta]
-    assert history.objective_model == [objective_model(train_ds, states, hp)]
-    assert history.objective_relaxed == [objective_relaxed(train_ds, states, hp)]
+        want_blocks = [getattr(st, name) for st in states]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want_blocks, strict=True))
+    for key, values in want.items():
+        assert getattr(history, key) == values, key
 
 
 @pytest.mark.parametrize("mode", ["full", "frobenius"])
