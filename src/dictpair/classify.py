@@ -82,7 +82,7 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
         cols = slice(blocks[i], blocks[i] + EVAL_BLOCK)
         out[:, cols] = _block_residuals(rows, starts, y[:, cols], sq[cols])
 
-    solver._map_classes(block, len(blocks), solver._worker_count(len(blocks)))
+    solver._map_classes(block, len(blocks))
     return out
 
 

@@ -35,6 +35,7 @@ from .data import (
     save_labels,
     save_matrix,
     split,
+    write_rows,
 )
 from .model import ClassState, Hyperparams, init_state, load_model, save_model
 
@@ -137,12 +138,10 @@ def _write_history(path, history: solver.TrainHistory) -> None:
         fh.write(f"# converged={'true' if history.converged else 'false'} "
                  f"iterations={history.iterations_run}\n")
         fh.write("iter,obj_eq6,obj_eq9,dP,dS,dD,dW\n")
-        for i in range(history.iterations_run):
-            fh.write(
-                f"{i + 1},{history.objective_model[i]:.17g},{history.objective_relaxed[i]:.17g},"
-                f"{history.delta_P[i]:.17g},{history.delta_S[i]:.17g},"
-                f"{history.delta_D[i]:.17g},{history.delta_W[i]:.17g}\n"
-            )
+        write_rows(fh, np.column_stack([
+            np.arange(1, history.iterations_run + 1), history.objective_model, history.objective_relaxed,
+            history.delta_P, history.delta_S, history.delta_D, history.delta_W,
+        ]), ",")
 
 
 def cmd_synth(args) -> int:
@@ -293,6 +292,61 @@ def _minimize_weights_gd(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     return W
 
 
+def weight_oracles(X_l: np.ndarray, P_l: np.ndarray) -> tuple:
+    """Two (name, passed, detail) checks of W = solver.update_W(X_l, P_l): the
+    numerical weight-term gradient off the diagonal is below 1e-5 (1 + ||W||),
+    and W is within 1e-6 entrywise of _minimize_weights_gd."""
+    W = solver.update_W(X_l, P_l)
+    grad = numeric_gradient(lambda V: solver.weight_term(X_l, P_l, V), W, 1e-5)
+    gnorm = float(np.linalg.norm(grad[~np.eye(W.shape[0], dtype=bool)]))
+    bound = 1e-5 * (1.0 + float(np.linalg.norm(W)))
+    err = float(np.abs(_minimize_weights_gd(X_l, P_l) - W).max())
+    return (("weights-stationarity", gnorm < bound, f"gradient norm {gnorm:.3e} vs bound {bound:.3e}"),
+            ("weights-minimizer", err < 1e-6, f"max entry difference {err:.3e}"))
+
+
+def code_oracle(rngs) -> tuple:
+    """(name, passed, detail): on a nonnegative one-class instance from each RNG
+    of ``rngs``, 10 solver.update_S steps raise surrogate_relaxed at alpha =
+    beta = lam = 0 (its two fit terms) by at most 1e-12 relative."""
+    hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=3)
+    worst = -np.inf
+    for rng in rngs:
+        X = rng.uniform(0.2, 1.0, (4, 6))
+        ds = partition_by_class(X, np.ones(6, dtype=int))
+        st = ClassState(
+            D=np.abs(rng.standard_normal((4, 3))),
+            P=np.abs(rng.standard_normal((3, 4))),
+            S=np.abs(rng.standard_normal((3, 6))),
+            W=np.zeros((6, 6)),
+            h=np.ones(4),
+            u=rng.uniform(0.5, 2.0, 6),
+            v=rng.uniform(0.5, 2.0, 6),
+        )
+        prev = solver.surrogate_relaxed(ds, [st], hp)
+        for _ in range(10):
+            st.S = solver.update_S(X, st.D, st.P, st.S, st.u, st.v, 1e-6)
+            cur = solver.surrogate_relaxed(ds, [st], hp)
+            worst = max(worst, (cur - prev) / max(abs(prev), 1e-30))
+            prev = cur
+    return "codes-surrogate-monotone", worst <= 1e-12, f"worst relative increase {worst:.3e}"
+
+
+def sweep_oracle(seeds) -> tuple:
+    """(name, passed, detail): a solver.sweep_class of every class of each seed's
+    _sweep_instance, diagonals frozen, raises surrogate_relaxed by at most 1e-8
+    relative."""
+    worst = -np.inf
+    for seed in seeds:
+        ds, states, hp = _sweep_instance(seed)
+        s0 = solver.surrogate_relaxed(ds, states, hp)
+        for l, st in enumerate(states):
+            solver.sweep_class(ds, ds.class_matrix(l + 1), st, hp)
+        s1 = solver.surrogate_relaxed(ds, states, hp)
+        worst = max(worst, (s1 - s0) / max(abs(s0), 1e-30))
+    return "sweep-surrogate-monotone", worst <= 1e-8, f"worst relative increase {worst:.3e}"
+
+
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     results = []
@@ -312,55 +366,10 @@ def cmd_gradcheck(args) -> int:
     err = float(np.abs(G - 1.0).max())
     record("gradient-linear", err < 1e-6, f"max entry error {err:.3e}")
 
-    # weight update: the shipped update is stationary on diag(W) = 0, that is
-    # the gradient of the weight term vanishes off the diagonal
-    X_l = rng.uniform(1.0, 2.0, (4, 3))
-    P_l = rng.standard_normal((2, 4))
-    W = solver.update_W(X_l, P_l)
-    grad = numeric_gradient(lambda V: solver.weight_term(X_l, P_l, V), W, 1e-5)
-    gnorm = float(np.linalg.norm(grad[~np.eye(3, dtype=bool)]))
-    bound = 1e-5 * (1.0 + float(np.linalg.norm(W)))
-    record("weights-stationarity", gnorm < bound, f"gradient norm {gnorm:.3e} vs bound {bound:.3e}")
-
-    # weight update matches an independent numerical minimizer on diag(W) = 0
-    err = float(np.abs(_minimize_weights_gd(X_l, P_l) - W).max())
-    record("weights-minimizer", err < 1e-6, f"max entry difference {err:.3e}")
-
-    # code update: solver.surrogate_relaxed of one class at alpha = beta = lam = 0
-    # (its two fit terms) non-increasing over 10 consecutive updates
-    hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=3)
-    worst = -np.inf
-    for _ in range(5):
-        X = rng.uniform(0.2, 1.0, (4, 6))
-        ds = partition_by_class(X, np.ones(6, dtype=int))
-        st = ClassState(
-            D=np.abs(rng.standard_normal((4, 3))),
-            P=np.abs(rng.standard_normal((3, 4))),
-            S=np.abs(rng.standard_normal((3, 6))),
-            W=np.zeros((6, 6)),
-            h=np.ones(4),
-            u=rng.uniform(0.5, 2.0, 6),
-            v=rng.uniform(0.5, 2.0, 6),
-        )
-        prev = solver.surrogate_relaxed(ds, [st], hp)
-        for _ in range(10):
-            st.S = solver.update_S(X, st.D, st.P, st.S, st.u, st.v, 1e-6)
-            cur = solver.surrogate_relaxed(ds, [st], hp)
-            worst = max(worst, (cur - prev) / max(abs(prev), 1e-30))
-            prev = cur
-    record("codes-surrogate-monotone", worst <= 1e-12, f"worst relative increase {worst:.3e}")
-
-    # full sweep with frozen diagonals never increases the quadratic surrogate
-    worst = -np.inf
-    for inst in range(5):
-        ds, states, hp_s = _sweep_instance(SWEEP_SEED_BASE + 5 * args.seed + inst)
-        s0 = solver.surrogate_relaxed(ds, states, hp_s)
-        for l, st in enumerate(states):
-            solver.sweep_class(ds, ds.class_matrix(l + 1), st, hp_s)
-        s1 = solver.surrogate_relaxed(ds, states, hp_s)
-        worst = max(worst, (s1 - s0) / max(abs(s0), 1e-30))
-    record("sweep-surrogate-monotone", worst <= 1e-8, f"worst relative increase {worst:.3e}")
-
+    for result in weight_oracles(rng.uniform(1.0, 2.0, (4, 3)), rng.standard_normal((2, 4))):
+        record(*result)
+    record(*code_oracle([rng] * 5))
+    record(*sweep_oracle(range(SWEEP_SEED_BASE + 5 * args.seed, SWEEP_SEED_BASE + 5 * args.seed + 5)))
     return 0 if all(results) else EXIT_CHECK_FAILED
 
 

@@ -15,8 +15,9 @@ line <N>: non-finite value '<token>' at row <r>, column <c>``), and joins them
 once, so reading a block peaks at about twice the block's bytes; the header is
 never allocated up front, so a huge one fails on the missing values. Each
 matrix, label or model file is read in one pass, so an input may be a pipe.
-``write_rows`` is the one 17-digit formatter, of those blocks and of
-``metrics.write_csv_matrix``; ``check_block`` rejects, before a file is
+``write_rows`` is the one formatter of numeric rows (17 significant digits, an
+integral value as an integer): of blocks, labels, ``metrics``' CSV and PGM
+files and the CLI's history; ``check_block`` rejects, before a file is
 written, a block that the readers would reject.
 """
 
@@ -50,16 +51,21 @@ class LabeledDataset:
     per_class: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.ndim != 1 or self.labels.size != self.X.shape[1]:
+        labels = np.asarray(self.labels, dtype=float)
+        if labels.ndim != 1 or labels.size != self.X.shape[1]:
             raise ValueError("labels length must equal the number of columns")
-        c = int(self.labels.max(initial=0))
-        if c < 1 or self.labels.min(initial=1) < 1:
+        # checked before the cast to int, which truncates 1.7 and warns on a NaN
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+        if bad.size:
+            raise ValueError(f"label of column {bad[0]} is {labels[bad[0]]}, not an integer")
+        if labels.size == 0 or labels.min() < 1:
             raise ValueError("labels must be integers in 1..c")
-        self.per_class = [np.flatnonzero(self.labels == l) for l in range(1, c + 1)]
-        for l, idx in enumerate(self.per_class, start=1):
-            if idx.size == 0:
-                raise ValueError(f"class {l} is empty")
+        present = np.unique(labels)
+        missing = np.flatnonzero(present != np.arange(1, present.size + 1))
+        if missing.size:
+            raise ValueError(f"class {missing[0] + 1} is empty")
+        self.labels = labels.astype(int)
+        self.per_class = [np.flatnonzero(self.labels == l) for l in range(1, present.size + 1)]
 
     @property
     def n_features(self) -> int:
@@ -250,8 +256,7 @@ def load_labels(path) -> np.ndarray:
 
 def save_labels(path, labels: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for l in np.asarray(labels, dtype=int):
-            fh.write(f"{l}\n")
+        write_rows(fh, np.asarray(labels, dtype=int).reshape(-1, 1), "")
 
 
 def normalize_unit_l2(X: np.ndarray) -> np.ndarray:

@@ -82,12 +82,9 @@ def write_pgm(path, values: np.ndarray) -> None:
         idx = tuple(int(i) for i in bad[0])
         raise ValueError(f"PGM value {values[idx]} at {idx} is not a finite value in [0, 1]")
     pixels = np.rint(255.0 * values).astype(int)
-    rows, cols = pixels.shape
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("P2\n")
-        fh.write(f"{cols} {rows}\n255\n")
-        for row in pixels:
-            fh.write(" ".join(str(p) for p in row) + "\n")
+        fh.write(f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n255\n")
+        write_rows(fh, pixels, " ")
 
 
 def write_csv_matrix(path, values: np.ndarray) -> None:

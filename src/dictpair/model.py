@@ -155,7 +155,8 @@ def init_state(ds: LabeledDataset, hp: Hyperparams) -> list[ClassState]:
     Each of D_l, P_l, S_l, W_l is drawn from default_rng(hp.seed) and scaled to
     unit Frobenius norm; S_l takes absolute values before scaling (the
     multiplicative code update cannot repair negative entries), and the diagonal
-    of W_l is zeroed after scaling. The reweighting diagonals start at identity.
+    of W_l is zeroed after scaling; at beta = 0, where no step reads it, W_l is
+    drawn but returned as zero. The reweighting diagonals start at identity.
     """
     n = ds.n_features
     k = hp.atoms_per_class
@@ -170,6 +171,8 @@ def init_state(ds: LabeledDataset, hp: Hyperparams) -> list[ClassState]:
         S_l = np.abs(rng.standard_normal((k, N_l)))
         W_l = _unit_fnorm(rng, (N_l, N_l))
         np.fill_diagonal(W_l, 0.0)
+        if hp.beta == 0.0:
+            W_l = np.zeros((N_l, N_l))
         states.append(ClassState(D_l, P_l, S_l / np.linalg.norm(S_l), W_l, np.ones(n), np.ones(N_l), np.ones(N_l)))
     return states
 

@@ -435,14 +435,14 @@ def _worker_count(c: int) -> int:
     return min(c, max(1, cpus // blas_threads))
 
 
-def _map_classes(step, c: int, workers: int) -> list:
-    """[step(l) for l in range(c)], run by the calling thread and workers - 1
-    helper threads, each taking the lowest class not yet taken. Once a step
-    raises, no further class is taken; every helper is joined before this
-    returns or raises, and the error of the lowest failed class is raised, as
-    the serial loop would have raised it (the classes below it were all taken,
-    so they all ran). At 1 worker no thread is started and the calling thread
-    runs the classes in order."""
+def _map_classes(step, c: int) -> list:
+    """[step(l) for l in range(c)], run by the calling thread and
+    _worker_count(c) - 1 helper threads, each taking the lowest class not yet
+    taken. Once a step raises, no further class is taken; every helper is
+    joined before this returns or raises, and the error of the lowest failed
+    class is raised, as the serial loop would have raised it (the classes below
+    it were all taken, so they all ran). At 1 worker no thread is started and
+    the calling thread runs the classes in order."""
     todo, results, failed, stop = queue.SimpleQueue(), [None] * c, {}, threading.Event()
     for l in range(c):
         todo.put(l)
@@ -459,7 +459,7 @@ def _map_classes(step, c: int, workers: int) -> list:
                 failed[l] = exc
                 stop.set()
 
-    helpers = [threading.Thread(target=work, name=f"dictpair-class-{i}") for i in range(1, workers)]
+    helpers = [threading.Thread(target=work, name=f"dictpair-class-{i}") for i in range(1, _worker_count(c))]
     try:
         for t in helpers:
             t.start()
@@ -522,9 +522,8 @@ def train(
     # cached_property takes no lock: both caches are filled before any helper starts
     _ = ds.gram, ds.sample_sum
     prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
-    workers = _worker_count(len(states))
     for it in range(1, hp.max_iter + 1):
-        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode), len(states), workers)
+        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode), len(states))
         obj = _finite(_add_up(model for _, (model, _) in steps), f"model objective at iteration {it}")
         relaxed = _add_up(relaxed for _, (_, relaxed) in steps)
         history.objective_model.append(obj)

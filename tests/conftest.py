@@ -5,8 +5,11 @@ noise 0.1 (seed 7), split 15 train / 10 test per class (seed 7), trained with
 alpha=1.0, beta=0.01, lambda=1e-3, tau=1e-6, 2 atoms per class, init seed 10.
 The "corrupted" variant replaces 10% of entries with uniform outliers and is
 trained with init seed 4. final_states rebuilds the per-class training records
-of a trained model for the tests that score one with an objective.
+of a trained model for the tests that score one with an objective, and
+traced_peak measures the peak memory of one call.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +32,16 @@ def final_states(ds, trained, hp):
         )
         for l, (D_l, P_l, S_l, W_l) in enumerate(zip(pair.D, pair.P, codes.S, weights.W), start=1)
     ]
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ from dictpair import baselines, solver
 
 
 def test_zero_beta_training_ignores_initial_weights(monkeypatch):
-    # at beta = 0 W enters neither the analysis system nor an objective and is
-    # never updated, so where it starts changes nothing else that train returns
+    # at beta = 0 W enters neither the analysis system nor an objective and is never updated, so
+    # init_state starts it at zero, and where it starts changes nothing else that train returns
     ds = make_synthetic(2, 6, 5, 0.1, 0.0, seed=2)
     hp = Hyperparams(alpha=0.3, beta=0.0, lam=1e-3, atoms_per_class=2, seed=5)
     plain = train(ds, hp)
@@ -28,6 +28,7 @@ def test_zero_beta_training_ignores_initial_weights(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for xs, ys in blocks for a, b in zip(xs, ys, strict=True))
     assert dataclasses.asdict(ha) == dataclasses.asdict(hb)
     assert ha.delta_W == [0.0] * ha.iterations_run
+    assert all(not W_l.any() for W_l in wa.W)
     assert not any(np.array_equal(a, b) for a, b in zip(wa.W, wb.W))
 
 

@@ -14,6 +14,8 @@ from dictpair.classify import EVAL_BLOCK, class_residuals
 from dictpair.data import LabeledDataset
 from dictpair.model import DictionaryPair, load_model, save_model
 
+from conftest import traced_peak
+
 
 def two_class_model(D1, P1, D2, P2):
     return DictionaryPair(D=[np.asarray(D1, float), np.asarray(D2, float)],
@@ -95,18 +97,6 @@ def test_evaluate_rejects_out_of_range_label(label):
     # label 0 used to be counted as a prediction of the last class
     with pytest.raises(ValueError, match=f"classifier returned label {label}, expected 1..2"):
         evaluate(small_testset(), _FixedPredictor({(1.0,): 1, (2.0,): label, (3.0,): 2, (4.0,): 2}))
-
-
-def traced_peak(f, *args) -> int:
-    """Peak bytes that tracemalloc sees allocated during f(*args)."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_residual_never_forms_dense_product(monkeypatch):

@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from dictpair import data, metrics
 
+from conftest import traced_peak
+
 
 # --- matrix text I/O ---------------------------------------------------------
 
@@ -109,19 +111,11 @@ def test_load_peak_memory_is_about_twice_the_array(tmp_path, rng, shape):
     # the per-line arrays and their join; a list of Python floats, one per
     # value, and its conversion peaked at 5.07x. A one-column file has one
     # value per line: an array per line, never joined, peaked at 20x
-    import tracemalloc
-
     M = rng.standard_normal(shape)
     p = tmp_path / "m.txt"
     data.save_matrix(p, M)
-    tracemalloc.start()
-    try:
-        loaded = data.load_matrix(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(loaded, M)
-    assert peak <= 2.5 * M.nbytes
+    assert np.array_equal(data.load_matrix(p), M)
+    assert traced_peak(data.load_matrix, p) <= 2.5 * M.nbytes
 
 
 def test_load_bad_header(tmp_path):
@@ -330,6 +324,23 @@ def test_partition_non_finite_column(value):
     X[1, 2] = value
     with pytest.raises(ValueError, match="column 2 contains a non-finite value"):
         data.partition_by_class(X, np.array([1, 2, 1]))
+
+
+@pytest.mark.parametrize("labels, bad", [([1.7, 1.2, 2.9, 2.0], "0 is 1.7"), ([1, 2, np.nan, 2], "2 is nan"),
+                                         ([1, 2, 1, -np.inf], "3 is -inf")])
+def test_partition_rejects_a_label_that_is_not_an_integer(labels, bad):
+    # checked before the cast to int, which would truncate 1.7 to 1 and warn on a NaN
+    with pytest.raises(ValueError, match=f"^label of column {bad}, not an integer$"):
+        data.partition_by_class(np.ones((2, 4)), labels)
+
+
+def test_partition_names_the_empty_class_below_a_huge_label():
+    # the first missing class comes from the distinct labels, not a scan up to the largest
+    def partition():
+        with pytest.raises(ValueError, match="^class 2 is empty$"):
+            data.partition_by_class(np.ones((2, 2)), np.array([1, 10**6]))
+
+    assert traced_peak(partition) < 1_000_000
 
 
 def test_partition_out_of_range_label():

@@ -20,7 +20,7 @@ from dictpair import (
     train,
 )
 from dictpair import solver
-from dictpair.cli import PRESETS, _minimize_weights_gd, numeric_gradient
+from dictpair.cli import PRESETS, code_oracle, numeric_gradient, weight_oracles
 from dictpair.model import ClassState, init_state
 
 from conftest import CORRUPT_HP, STANDARD_HP, final_states
@@ -315,29 +315,9 @@ def test_update_S_unit_ratio_fixed_point(rng):
 
 
 def test_update_S_surrogate_monotone():
-    # nonnegative instances with fixed diagonals: ten consecutive updates never
-    # increase surrogate_relaxed of one class at alpha = beta = lam = 0, that
-    # is its two fit terms
-    hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=3)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(0.2, 1.0, (4, 6))
-        ds = partition_by_class(X, np.ones(6, dtype=int))
-        st = ClassState(
-            D=np.abs(rng.standard_normal((4, 3))),
-            P=np.abs(rng.standard_normal((3, 4))),
-            S=np.abs(rng.standard_normal((3, 6))),
-            W=np.zeros((6, 6)),
-            h=np.ones(4),
-            u=rng.uniform(0.5, 2.0, 6),
-            v=rng.uniform(0.5, 2.0, 6),
-        )
-        prev = surrogate_relaxed(ds, [st], hp)
-        for _ in range(10):
-            st.S = solver.update_S(X, st.D, st.P, st.S, st.u, st.v, 1e-6)
-            cur = surrogate_relaxed(ds, [st], hp)
-            assert cur <= prev * (1.0 + 1e-12)
-            prev = cur
+    # gradcheck's code oracle on the instances of seeds 0 to 9
+    _, ok, detail = code_oracle(np.random.default_rng(seed) for seed in range(10))
+    assert ok, detail
 
 
 # --- synthesis update --------------------------------------------------------
@@ -392,22 +372,17 @@ def test_update_W_zero_data():
 
 
 def test_update_W_matches_numerical_minimizer(rng):
-    # the exact minimizer on diag(W) = 0 against gradcheck's descent reference
-    X = rng.uniform(0.5, 1.5, (4, 3))
-    P = rng.standard_normal((2, 4))
-    W = solver.update_W(X, P)
-    assert np.all(np.diag(W) == 0.0)
-    assert np.abs(W - _minimize_weights_gd(X, P)).max() < 1e-6
+    # gradcheck's minimizer oracle: the exact minimizer on diag(W) = 0 against the descent reference
+    X, P = rng.uniform(0.5, 1.5, (4, 3)), rng.standard_normal((2, 4))
+    assert np.all(np.diag(solver.update_W(X, P)) == 0.0)
+    _, ok, detail = weight_oracles(X, P)[1]
+    assert ok, detail
 
 
 def test_update_W_stationarity_via_numeric_gradient(rng):
-    # stationary off the diagonal with diag(W) = 0: the constrained optimum of
-    # the convex weight term
-    X = rng.uniform(0.5, 1.5, (4, 3))
-    P = rng.standard_normal((2, 4))
-    W = solver.update_W(X, P)
-    grad = numeric_gradient(lambda V: solver.weight_term(X, P, V), W, 1e-5)
-    assert np.linalg.norm(grad[~np.eye(3, dtype=bool)]) < 1e-5 * (1.0 + np.linalg.norm(W))
+    # gradcheck's stationarity oracle: the constrained optimum of the weight term on diag(W) = 0
+    _, ok, detail = weight_oracles(rng.uniform(0.5, 1.5, (4, 3)), rng.standard_normal((2, 4)))[0]
+    assert ok, detail
 
 
 # --- objectives --------------------------------------------------------------
@@ -961,9 +936,10 @@ def test_train_raises_the_error_of_the_lowest_failing_class(monkeypatch, workers
     assert threading.active_count() == threads
 
 
-def test_map_classes_runs_each_class_once_under_contention():
+def test_map_classes_runs_each_class_once_under_contention(monkeypatch):
     # more workers than cores, switching threads every microsecond: a class
     # taken twice or lost shows in the calls and the results
+    monkeypatch.setattr(solver, "_worker_count", lambda c: 8)
     calls = []
 
     def step(l):
@@ -973,7 +949,7 @@ def test_map_classes_runs_each_class_once_under_contention():
     out, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: out.append(solver._map_classes(step, 2000, 8)))
+        runner = threading.Thread(target=lambda: out.append(solver._map_classes(step, 2000)))
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
