@@ -1,9 +1,11 @@
 """Reference classifiers: two sanity baselines that serve as accuracy floors.
-The subspace one is a DictionaryPair, classified like a trained pair.
-The pair without the locality and lam terms is train at beta = lam = 0."""
+Nearest-class-mean labels a whole test matrix; the subspace baseline is a
+DictionaryPair, classified like a trained pair. The pair without the locality
+and lam terms is train at beta = lam = 0."""
 
 import numpy as np
 
+from .classify import _checked_samples
 from .data import LabeledDataset
 from .model import DictionaryPair
 
@@ -14,19 +16,14 @@ class NearestClassMean:
     def __init__(self, means: np.ndarray):
         self.means = means  # n x c
 
-    def classify(self, y: np.ndarray) -> int:
-        """1-based label of the nearest mean; a sample that is not a vector of
-        the means' length, or has a NaN, an inf or an overflowing norm, is a
-        ValueError (it would otherwise tie every distance at NaN or inf)."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1:
-            raise ValueError(f"expected one sample vector, got shape {y.shape}")
-        if y.shape[0] != self.means.shape[0]:
-            raise ValueError(f"sample dimension {y.shape[0]} != model dimension {self.means.shape[0]}")
-        if not np.isfinite(np.einsum("i,i->", y, y)):
-            raise ValueError("sample has a NaN, an inf or an overflowing norm")
-        d = np.linalg.norm(self.means - y[:, None], axis=0)
-        return int(np.argmin(d)) + 1
+    def classify(self, y: np.ndarray) -> np.ndarray | int:
+        """1-based labels of the nearest means, by the exact distances ||y - mu_l||, of the columns
+        of an n x N matrix, or the label of one vector; samples are checked as in class_residuals."""
+        y, _ = _checked_samples(y, self.means.shape[0])
+        Y = y.reshape(y.shape[0], -1)
+        d = np.stack([np.linalg.norm(Y - mu[:, None], axis=0) for mu in self.means.T])
+        labels = np.argmin(d, axis=0) + 1
+        return labels if y.ndim == 2 else int(labels[0])
 
 
 def nearest_class_mean(ds_train: LabeledDataset) -> NearestClassMean:

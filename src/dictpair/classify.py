@@ -59,17 +59,9 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
     A vector y gives a length-c array, an n x N matrix the c x N residuals of
     its columns, both in the Gram form of the module docstring; a matrix of
     more than EVAL_BLOCK columns is computed in column blocks on the class
-    workers. A column with a NaN or inf entry, or an overflowing norm, is a
-    ValueError raised first.
+    workers. Bad samples are a ValueError raised first (_checked_samples).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2):
-        raise ValueError(f"expected one sample vector or an n x N sample matrix, got shape {y.shape}")
-    if y.shape[0] != model.n_features:
-        raise ValueError(f"sample dimension {y.shape[0]} != model dimension {model.n_features}")
-    sq = np.einsum("i...,i...->...", y, y)
-    if not np.isfinite(sq).all():
-        raise ValueError(f"sample column {int(np.argmin(np.isfinite(sq)))} has a NaN, an inf or an overflowing norm")
+    y, sq = _checked_samples(y, model.n_features)
     # cached_property takes no lock: the operator is built before any helper starts
     rows, starts = model.residual_operator
     if y.ndim == 1 or y.shape[1] <= EVAL_BLOCK:
@@ -84,6 +76,20 @@ def class_residuals(y: np.ndarray, model: DictionaryPair) -> np.ndarray:
 
     solver._map_classes(block, len(blocks))
     return out
+
+
+def _checked_samples(y, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """y as a float vector or n x N matrix of samples of dimension n, and its squared column
+    norms; anything else, or a NaN, an inf or an overflowing norm, is a ValueError."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"expected one sample vector or an n x N sample matrix, got shape {y.shape}")
+    if y.shape[0] != n:
+        raise ValueError(f"sample dimension {y.shape[0]} != model dimension {n}")
+    sq = np.einsum("i...,i...->...", y, y)
+    if not np.isfinite(sq).all():
+        raise ValueError(f"sample column {int(np.argmin(np.isfinite(sq)))} has a NaN, an inf or an overflowing norm")
+    return y, sq
 
 
 def _block_residuals(rows, starts, y, sq):
@@ -108,23 +114,13 @@ def classify_sample(y: np.ndarray, model: DictionaryPair) -> int:
     return int(np.argmin(class_residuals(y, model))) + 1
 
 
-def evaluate(testset: LabeledDataset, model) -> EvalReport:
-    """Confusion matrix and accuracy over a labeled test set.
-
-    model is a DictionaryPair, classified with one batched ``class_residuals``
-    call over all test columns, or any object with a classify(y) -> label
-    method (the nearest-class-mean baseline qualifies), called once per column.
-    """
+def evaluate(testset: LabeledDataset, model: DictionaryPair) -> EvalReport:
+    """Confusion matrix and accuracy over a labeled test set, from one batched
+    ``class_residuals`` call over all test columns."""
     c = testset.n_classes
-    if hasattr(model, "classify"):
-        predicted = np.array([model.classify(testset.X[:, j]) for j in range(testset.n_samples)], dtype=int)
-        bad = predicted[(predicted < 1) | (predicted > c)]
-        if bad.size:
-            raise ValueError(f"classifier returned label {bad[0]}, expected 1..{c}")
-    else:
-        if model.n_classes > c:
-            raise ValueError(f"model has {model.n_classes} classes, test labels have {c}")
-        predicted = np.argmin(class_residuals(testset.X, model), axis=0) + 1
+    if model.n_classes > c:
+        raise ValueError(f"model has {model.n_classes} classes, test labels have {c}")
+    predicted = np.argmin(class_residuals(testset.X, model), axis=0) + 1
     confusion = np.zeros((c, c), dtype=int)
     np.add.at(confusion, (testset.labels - 1, predicted - 1), 1)
     row_sums = confusion.sum(axis=1)

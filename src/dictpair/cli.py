@@ -292,6 +292,17 @@ def _minimize_weights_gd(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     return W
 
 
+def gradient_oracles(M: np.ndarray) -> tuple:
+    """Two (name, passed, detail) checks of numeric_gradient at M: the gradients
+    of ||M||_F^2 (2M) and of sum(M) (all ones) are within 1e-6 entrywise."""
+    results = []
+    for name, f, grad in (("gradient-quadratic", lambda A: float(np.sum(A * A)), 2.0 * M),
+                          ("gradient-linear", lambda A: float(np.sum(A)), 1.0)):
+        err = float(np.abs(numeric_gradient(f, M, 1e-6) - grad).max())
+        results.append((name, err < 1e-6, f"max entry error {err:.3e}"))
+    return tuple(results)
+
+
 def weight_oracles(X_l: np.ndarray, P_l: np.ndarray) -> tuple:
     """Two (name, passed, detail) checks of W = solver.update_W(X_l, P_l): the
     numerical weight-term gradient off the diagonal is below 1e-5 (1 + ||W||),
@@ -355,17 +366,8 @@ def cmd_gradcheck(args) -> int:
         results.append(ok)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
-    # gradient oracle on a quadratic: f(M) = ||M||_F^2, grad = 2M
-    M = rng.standard_normal((3, 4))
-    G = numeric_gradient(lambda A: float(np.sum(A * A)), M, 1e-6)
-    err = float(np.abs(G - 2.0 * M).max())
-    record("gradient-quadratic", err < 1e-6, f"max entry error {err:.3e}")
-
-    # gradient oracle on a linear map: f(M) = sum(M), grad = all-ones
-    G = numeric_gradient(lambda A: float(np.sum(A)), M, 1e-6)
-    err = float(np.abs(G - 1.0).max())
-    record("gradient-linear", err < 1e-6, f"max entry error {err:.3e}")
-
+    for result in gradient_oracles(rng.standard_normal((3, 4))):
+        record(*result)
     for result in weight_oracles(rng.uniform(1.0, 2.0, (4, 3)), rng.standard_normal((2, 4))):
         record(*result)
     record(*code_oracle([rng] * 5))

@@ -246,11 +246,15 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a labels file: one integer per line."""
+    """Read a labels file: one integer per line, within the range of NumPy's int."""
+    bound = np.iinfo(int).max
     with open(path, "r", encoding="ascii") as fh:
         labels = []
         for lineno, line in enumerate(fh, start=1):
-            labels.extend(parse_tokens(line.split(), int, path, lineno))
+            values = parse_tokens(line.split(), int, path, lineno)
+            if values and max(map(abs, values)) > bound:
+                raise ValueError(f"{path}, line {lineno}: label {max(values, key=abs)} is out of range")
+            labels.extend(values)
     return np.array(labels, dtype=int)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dictpair import Hyperparams, LabeledDataset, evaluate, make_synthetic, train
+from dictpair import Hyperparams, evaluate, make_synthetic, train
 from dictpair import baselines, solver
 
 
@@ -43,7 +43,7 @@ def test_frobenius_mode_runs():
 def test_nearest_class_mean_zero_noise():
     ds = make_synthetic(3, 12, 6, 0.0, 0.0, seed=4)
     clf = baselines.nearest_class_mean(ds)
-    assert evaluate(ds, clf).accuracy == 1.0
+    assert np.array_equal(clf.classify(ds.X), ds.labels)
 
 
 def test_nearest_class_mean_single_sample():
@@ -58,21 +58,31 @@ def test_nearest_class_mean_single_sample():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_nearest_class_mean_rejects_non_finite_sample(bad):
-    # a NaN column used to be counted as a class-1 prediction by evaluate;
+    # a NaN column would tie every distance at NaN and be labelled class 1;
     # 1e200 is finite, but its squared norm overflows
     ds = make_synthetic(3, 10, 8, 0.05, 0.0, seed=10)
     clf = baselines.nearest_class_mean(ds)
     X = ds.X.copy()
     X[4, 16] = bad
-    with pytest.raises(ValueError, match="sample has a NaN, an inf or an overflowing norm"):
-        evaluate(LabeledDataset(X=X, labels=ds.labels), clf)
+    with pytest.raises(ValueError, match="sample column 16 has a NaN, an inf or an overflowing norm"):
+        clf.classify(X)
 
 
-@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()])
+@pytest.mark.parametrize("shape", [(9,), (11,), (11, 1), ()])
 def test_nearest_class_mean_rejects_wrong_shape(shape):
     clf = baselines.nearest_class_mean(make_synthetic(3, 10, 8, 0.05, 0.0, seed=10))
     with pytest.raises(ValueError, match="sample dimension|one sample vector"):
         clf.classify(np.ones(shape))
+
+
+def test_nearest_class_mean_labels_a_matrix_as_its_columns(rng):
+    # a vector gives one label, an n x 1 column and a matrix an array of labels
+    clf = baselines.NearestClassMean(rng.standard_normal((10, 4)))
+    Y = rng.standard_normal((10, 24))
+    labels = clf.classify(Y)
+    assert labels.shape == (24,) and set(labels.tolist()) == {1, 2, 3, 4}
+    assert labels.tolist() == [clf.classify(Y[:, j]) for j in range(24)]
+    assert clf.classify(Y[:, 5:6]).tolist() == [labels[5]]
 
 
 def test_subspace_full_rank_reconstructs_training_samples():

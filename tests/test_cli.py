@@ -156,6 +156,18 @@ def test_train_rejects_nan_data_file(workdir, capsys):
     assert not (workdir / "m.model").exists()
 
 
+def test_train_rejects_a_label_beyond_int_range(workdir, capsys):
+    # it used to escape as an OverflowError from the labels array, exit 1
+    run(capsys, *synth_args(workdir / "d"))
+    lines = (workdir / "d.labels").read_text().splitlines()
+    lines[1] = "100000000000000000000000000000"
+    (workdir / "d.labels").write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 2 and out == ""
+    assert f"error: {workdir}/d.labels, line 2: label 100000000000000000000000000000 is out of range" in err
+    assert not (workdir / "m.model").exists()
+
+
 def test_train_numerical_failure_exit_code(workdir, capsys, monkeypatch):
     from dictpair import solver as solver_mod
 

@@ -212,6 +212,16 @@ def test_labels_bad_token_names_file_and_line(tmp_path):
         data.load_labels(p)
 
 
+def test_labels_beyond_int_range_name_file_and_line(tmp_path):
+    # the largest int64 label reads; one more used to raise an OverflowError
+    p = tmp_path / "l.txt"
+    p.write_text(f"1\n{2**63 - 1}\n")
+    assert data.load_labels(p).tolist() == [1, 2**63 - 1]
+    p.write_text(f"1\n{2**63 - 1}\n3 {2**63}\n")
+    with pytest.raises(ValueError, match=rf"l\.txt, line 3: label {2**63} is out of range"):
+        data.load_labels(p)
+
+
 # --- normalization -----------------------------------------------------------
 
 def test_normalize_345():
