@@ -8,6 +8,10 @@ An unset hyperparameter flag takes its model.Hyperparams default; Hyperparams
 and solver.train (the mode rule) reject bad values with a ValueError, and the
 parser rejects a negative value of the other seed flags.
 
+train, eval, ablate and inspect project the --data matrix (--project-dim) and
+then scale its columns to unit l2 norm (--normalize), each when it is set; a
+model file records neither, so eval and inspect must repeat the training flags.
+
 Exit codes: 0 success, 1 oracle-check failure, 2 usage error (any ValueError
 or OSError, such as a missing file or a directory given as one), 3 numerical
 failure (NumericalError, LinAlgError or FloatingPointError). Every command is
@@ -89,8 +93,6 @@ def _add_prep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--project-dim", type=int, default=None,
                    help="random-projection feature dimension")
     p.add_argument("--project-seed", type=_seed, default=0)
-    p.add_argument("--prep-order", choices=["project-then-normalize", "normalize-then-project"],
-                   default="project-then-normalize")
 
 
 def _resolve_hp(args) -> Hyperparams:
@@ -107,30 +109,18 @@ def _resolve_hp(args) -> Hyperparams:
 
 
 def _load_dataset(args) -> LabeledDataset:
-    """The --data/--labels dataset, checked by partition_by_class, with each
-    preprocessing step that is set applied in --prep-order order."""
-    ds = partition_by_class(load_matrix(args.data), load_labels(args.labels))
-    X = ds.X
-    for step in args.prep_order.split("-then-"):
-        if step == "project" and args.project_dim is not None:
-            X = random_projection_features(X, args.project_dim, args.project_seed)
-        elif step == "normalize" and args.normalize:
-            X = normalize_unit_l2(X)
-    return ds if X is ds.X else partition_by_class(X, ds.labels)
-
-
-def _print_config(args, hp: Hyperparams | None = None, extra: dict | None = None) -> None:
-    if not args.print_config:
-        return
-    items = {}
-    if hp is not None:
-        # printed under the flag names where they differ from the field names
-        flag = {"lam": "lambda", "atoms_per_class": "atoms"}
-        items.update((flag.get(f.name, f.name), getattr(hp, f.name)) for f in fields(hp))
-    if extra:
-        items.update(extra)
-    for key, val in items.items():
-        print(f"{key}={val}")
+    """The --data matrix, projected and then normalized as the flags ask, with
+    the --labels labels, one per column, as one dataset built by
+    partition_by_class."""
+    X = load_matrix(args.data)
+    labels = load_labels(args.labels)
+    if labels.size != X.shape[1]:
+        raise ValueError(f"{args.labels}: {labels.size} labels for the {X.shape[1]} columns of {args.data}")
+    if args.project_dim is not None:
+        X = random_projection_features(X, args.project_dim, args.project_seed)
+    if args.normalize:
+        X = normalize_unit_l2(X)
+    return partition_by_class(X, labels)
 
 
 def _write_history(path, history: solver.TrainHistory) -> None:
@@ -146,10 +136,6 @@ def _write_history(path, history: solver.TrainHistory) -> None:
 
 def cmd_synth(args) -> int:
     ds = make_synthetic(args.classes, args.dim, args.per_class, args.noise, args.corrupt, args.seed)
-    _print_config(args, extra={
-        "classes": args.classes, "dim": args.dim, "per_class": args.per_class,
-        "noise": args.noise, "corrupt": args.corrupt, "seed": args.seed,
-    })
     save_matrix(args.out_prefix + ".mat", ds.X)
     save_labels(args.out_prefix + ".labels", ds.labels)
     return 0
@@ -170,7 +156,10 @@ def cmd_train(args) -> int:
         if path is not None:
             _check_output_path(path)
     ds = _load_dataset(args)
-    _print_config(args, hp, extra={"mode": args.mode})
+    if args.print_config:
+        # printed under the flag names where they differ from the field names
+        flag = {"lam": "lambda", "atoms_per_class": "atoms"}
+        print(*(f"{flag.get(f.name, f.name)}={getattr(hp, f.name)}" for f in fields(hp)), f"mode={args.mode}", sep="\n")
     pair, codes, weights, history = solver.train(ds, hp, mode=args.mode)
     save_model(args.model_out, pair, hp)
     if args.history_out:
@@ -195,7 +184,6 @@ def cmd_ablate(args) -> int:
     ds = _load_dataset(args)
     split_seed = args.split_seed if args.split_seed is not None else hp.seed
     train_ds, test_ds = split(ds, args.train_per_class, split_seed)
-    _print_config(args, hp, extra={"train_per_class": args.train_per_class, "split_seed": split_seed})
     variants = [
         ("alpha0", replace(hp, alpha=0.0)),
         ("beta0", replace(hp, beta=0.0)),
@@ -219,9 +207,12 @@ def cmd_inspect(args) -> int:
     # every value is computed, and every output path checked, before a file is opened
     D, P = pair.assembled()
     sim = metrics.atom_similarity(D)
-    recon_err = metrics.reconstruction_error(ds.X, pair)
+    if ds.n_features != pair.n_features:
+        raise ValueError(f"data dimension {ds.n_features} != model dimension {pair.n_features}")
     codes = P @ ds.X
-    psnr_val = metrics.psnr(ds.X, D @ codes)
+    recon = D @ codes
+    recon_err = float(np.linalg.norm(ds.X - recon))
+    psnr_val = metrics.psnr(ds.X, recon)
     energy = metrics.block_diagonal_energy(codes, ds.labels, pair.atom_classes())
     lines = [
         f"reconstruction_error,{recon_err:.17g}",
@@ -403,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", type=float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--print-config", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a dictionary pair")
@@ -430,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prep_flags(p)
     p.add_argument("--train-per-class", type=int, required=True)
     p.add_argument("--split-seed", type=_seed, default=None)
-    p.add_argument("--print-config", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("inspect", help="export heat maps and reconstruction metrics")

@@ -4,7 +4,8 @@ random-projection features, synthetic data generation, and train/test splits.
 Samples are columns of an ``n x N`` matrix; labels are integers ``1..c`` with
 every class present. The text matrix format is a header line ``rows cols``
 followed by row-major whitespace-separated decimals (17 significant digits on
-save, so doubles round-trip exactly). A labels file holds one integer per line.
+save, so doubles round-trip exactly). A labels file holds whitespace-separated
+integers ``1..c``, any number per line (``save_labels`` writes one per line).
 ``read_block``/``write_block`` are the one codec of a matrix block, in matrix and
 model files, and ``read_end`` rejects what either file holds after its last
 block; ``parse_tokens`` converts every token of a matrix, label or model
@@ -246,16 +247,23 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a labels file: one integer per line, within the range of NumPy's int."""
+    """Read a labels file: whitespace-separated integers in 1..NumPy's int max,
+    any number per line, naming every class from 1 to the largest label."""
     bound = np.iinfo(int).max
     with open(path, "r", encoding="ascii") as fh:
         labels = []
         for lineno, line in enumerate(fh, start=1):
             values = parse_tokens(line.split(), int, path, lineno)
-            if values and max(map(abs, values)) > bound:
-                raise ValueError(f"{path}, line {lineno}: label {max(values, key=abs)} is out of range")
+            bad = [v for v in values if not 1 <= v <= bound]
+            if bad:
+                raise ValueError(f"{path}, line {lineno}: label {bad[0]} is out of range")
             labels.extend(values)
-    return np.array(labels, dtype=int)
+    labels = np.array(labels, dtype=int)
+    present = np.unique(labels)  # as LabeledDataset finds it, so a huge label costs no memory
+    missing = np.flatnonzero(present != np.arange(1, present.size + 1))
+    if missing.size:
+        raise ValueError(f"{path}: class {missing[0] + 1} is empty")
+    return labels
 
 
 def save_labels(path, labels: np.ndarray) -> None:

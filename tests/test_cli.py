@@ -14,7 +14,9 @@ from dictpair import (
     load_labels,
     load_matrix,
     load_model,
+    normalize_unit_l2,
     partition_by_class,
+    random_projection_features,
     split,
     train,
 )
@@ -168,6 +170,22 @@ def test_train_rejects_a_label_beyond_int_range(workdir, capsys):
     assert not (workdir / "m.model").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1] + ["0"] + lines[2:], "{workdir}/d.labels, line 2: label 0 is out of range"),
+    (lambda lines: [line.replace("2", "3") for line in lines], "{workdir}/d.labels: class 2 is empty"),
+    (lambda lines: lines[:-1], "{workdir}/d.labels: 7 labels for the 8 columns of {workdir}/d.mat"),
+], ids=["zero", "gap", "count"])
+def test_train_label_faults_name_the_labels_file(workdir, capsys, edit, message):
+    # each used to fail in LabeledDataset with a message naming no file
+    run(capsys, *synth_args(workdir / "d"))
+    lines = (workdir / "d.labels").read_text().splitlines()
+    (workdir / "d.labels").write_text("\n".join(edit(lines)) + "\n")
+    rc, out, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 2 and out == ""
+    assert "error: " + message.format(workdir=workdir) in err and "Traceback" not in err
+    assert not (workdir / "m.model").exists()
+
+
 def test_train_numerical_failure_exit_code(workdir, capsys, monkeypatch):
     from dictpair import solver as solver_mod
 
@@ -307,22 +325,42 @@ def test_train_preset_resolution(workdir, capsys):
     assert float(keys["lambda"]) == 0.5
 
 
-def test_preprocessing_orders_differ(workdir, capsys):
+def test_preprocessing_projects_then_normalizes(workdir, capsys):
+    # one order: the projection first, then unit-l2 columns of the projected matrix
     run(capsys, *synth_args(workdir / "d", noise=0.2))
-    base = ["train", "--data", f"{workdir}/d.mat", "--labels", f"{workdir}/d.labels",
-            "--alpha", "0.3", "--beta", "0.01", "--lambda", "0.001", "--atoms", "2",
-            "--seed", "7", "--tol", "1e-3", "--normalize", "--project-dim", "4",
-            "--project-seed", "9"]
-    rc1 = main(base + ["--prep-order", "project-then-normalize",
-                       "--model-out", f"{workdir}/pn.model"])
-    rc2 = main(base + ["--prep-order", "normalize-then-project",
-                       "--model-out", f"{workdir}/np.model"])
-    capsys.readouterr()
-    assert rc1 == rc2 == 0
-    a, _ = load_model(workdir / "pn.model")
-    b, _ = load_model(workdir / "np.model")
-    assert a.n_features == b.n_features == 4
-    assert not np.array_equal(a.D[0], b.D[0])
+    rc, _, _ = run(capsys, *train_args(workdir / "d", workdir / "m.model"),
+                   "--normalize", "--project-dim", "4", "--project-seed", "9")
+    assert rc == 0
+    got, _ = load_model(workdir / "m.model")
+    X = normalize_unit_l2(random_projection_features(load_matrix(workdir / "d.mat"), 4, 9))
+    hp = Hyperparams(alpha=0.3, beta=0.01, lam=0.001, atoms_per_class=2, seed=7, tol=1e-3)
+    want = train(partition_by_class(X, load_labels(workdir / "d.labels")), hp)[0]
+    assert got.n_features == 4
+    for l in range(want.n_classes):
+        assert np.array_equal(got.D[l], want.D[l]) and np.array_equal(got.P[l], want.P[l])
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--prep-order=project-then-normalize") for command in ("train", "eval", "ablate", "inspect")),
+    ("synth", "--print-config"),
+    ("ablate", "--print-config"),
+], ids=lambda value: value.lstrip("-"))
+def test_retired_flags_are_unrecognized(workdir, capsys, monkeypatch, command, flag):
+    # parsing fails before any file is read or written
+    required = {
+        "synth": ["--classes", "2", "--dim", "3", "--per-class", "3", "--out-prefix", "x"],
+        "train": ["--data", "d.mat", "--labels", "d.labels", "--model-out", "m.model"],
+        "eval": ["--data", "d.mat", "--labels", "d.labels", "--model", "m.model"],
+        "ablate": ["--data", "d.mat", "--labels", "d.labels", "--train-per-class", "2"],
+        "inspect": ["--data", "d.mat", "--labels", "d.labels", "--model", "m.model", "--out-prefix", "x"],
+    }[command]
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert list(workdir.iterdir()) == []
 
 
 def test_eval_with_matching_preprocessing(workdir, capsys):

@@ -212,13 +212,34 @@ def test_labels_bad_token_names_file_and_line(tmp_path):
         data.load_labels(p)
 
 
+def test_labels_any_number_per_line(tmp_path):
+    p = tmp_path / "l.txt"
+    p.write_text("1 2\n\n3 1 2\n")
+    assert data.load_labels(p).tolist() == [1, 2, 3, 1, 2]
+
+
 def test_labels_beyond_int_range_name_file_and_line(tmp_path):
-    # the largest int64 label reads; one more used to raise an OverflowError
+    # the largest int64 label reads, and leaves class 2 empty; one more used to
+    # raise an OverflowError
     p = tmp_path / "l.txt"
     p.write_text(f"1\n{2**63 - 1}\n")
-    assert data.load_labels(p).tolist() == [1, 2**63 - 1]
+    with pytest.raises(ValueError, match=r"l\.txt: class 2 is empty"):
+        data.load_labels(p)
     p.write_text(f"1\n{2**63 - 1}\n3 {2**63}\n")
     with pytest.raises(ValueError, match=rf"l\.txt, line 3: label {2**63} is out of range"):
+        data.load_labels(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\n0\n2\n", r"l\.txt, line 2: label 0 is out of range"),
+    ("1 2\n2 -3 1\n", r"l\.txt, line 2: label -3 is out of range"),
+    ("1\n2\n4 1\n", r"l\.txt: class 3 is empty"),
+], ids=["zero", "negative", "gap"])
+def test_labels_outside_1_to_c_name_the_file(tmp_path, text, message):
+    # they used to pass the reader and fail in LabeledDataset, naming no file
+    p = tmp_path / "l.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
         data.load_labels(p)
 
 
