@@ -11,6 +11,7 @@ parser rejects a negative value of the other seed flags.
 train, eval, ablate and inspect project the --data matrix (--project-dim) and
 then scale its columns to unit l2 norm (--normalize), each when it is set; a
 model file records neither, so eval and inspect must repeat the training flags.
+A --project-seed without --project-dim exits 2.
 
 Exit codes: 0 success, 1 oracle-check failure, 2 usage error (any ValueError
 or OSError, such as a missing file or a directory given as one), 3 numerical
@@ -92,7 +93,8 @@ def _add_prep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normalize", action="store_true", help="scale samples to unit l2 norm")
     p.add_argument("--project-dim", type=int, default=None,
                    help="random-projection feature dimension")
-    p.add_argument("--project-seed", type=_seed, default=0)
+    p.add_argument("--project-seed", type=_seed, default=None,
+                   help="seed of the random projection (default 0); needs --project-dim")
 
 
 def _resolve_hp(args) -> Hyperparams:
@@ -111,13 +113,16 @@ def _resolve_hp(args) -> Hyperparams:
 def _load_dataset(args) -> LabeledDataset:
     """The --data matrix, projected and then normalized as the flags ask, with
     the --labels labels, one per column, as one dataset built by
-    partition_by_class."""
+    partition_by_class. A --project-seed without --project-dim is a
+    ValueError, raised before the data are read."""
+    if args.project_seed is not None and args.project_dim is None:
+        raise ValueError("--project-seed needs --project-dim")
     X = load_matrix(args.data)
     labels = load_labels(args.labels)
     if labels.size != X.shape[1]:
         raise ValueError(f"{args.labels}: {labels.size} labels for the {X.shape[1]} columns of {args.data}")
     if args.project_dim is not None:
-        X = random_projection_features(X, args.project_dim, args.project_seed)
+        X = random_projection_features(X, args.project_dim, args.project_seed or 0)
     if args.normalize:
         X = normalize_unit_l2(X)
     return partition_by_class(X, labels)

@@ -64,20 +64,34 @@ surrogate decrease 2 x (the smoothed l2,1 terms) + (the penalties). The P step
 (at lam = 0) and the W step minimize it over their block; the S and D steps
 are not exact block minimizers.
 
-Numerical guards: every analysis and synthesis system is solved by one LU
-factorization (np.linalg.solve) and verified on every run (_checked_solve):
-a singular system, or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||),
-n the order of A (NaN too), raises NumericalError naming the solve. For
-alpha > 0 the analysis system is positive definite: its 4 alpha diag(h) term
-is, and every other term is semidefinite. So it is solved as built. At
-alpha = 0 it is X_l C X_l', of rank at most N_l, so tau*I is always added to
-it, as solve_synthesis always adds tau*I to the synthesis system. There the
-P step minimizes the surrogate plus (tau/2) ||P_l||_F^2, as the D step, before
-its column normalization, minimizes its fit term plus 2 tau ||D_l||_F^2 (the
-scales follow from the surrogate's 2 w r^2 rows). A non-finite A, and a
-non-finite objective in train, raise NumericalError as well.
+Numerical guards: every analysis and synthesis system is solved by one
+Cholesky factorization, LAPACK dposv from the OpenBLAS NumPy has loaded
+(_dposv), in place in a copy of A; where no such kernel resolves (NumPy not
+linked to OpenBLAS, or not to its 64-bit-integer build) by one LU
+factorization (np.linalg.solve) instead. No dependency beyond NumPy is used.
+Every solve is verified on every run (_checked_solve): a system that is not
+positive definite (Cholesky) or singular (LU), or a residual ||Y A - B|| above
+n eps (||Y|| ||A|| + ||B||), n the order of A (NaN too), raises NumericalError
+naming the solve. For alpha > 0 the analysis system is positive definite: its
+4 alpha diag(h) term is, and every other term is semidefinite. So it is solved
+as built. At alpha = 0 it is X_l C X_l', of rank at most N_l, so tau*I is
+always added to it, as solve_synthesis always adds tau*I to the synthesis
+system. There the P step minimizes the surrogate plus (tau/2) ||P_l||_F^2, as
+the D step, before its column normalization, minimizes its fit term plus
+2 tau ||D_l||_F^2 (the scales follow from the surrogate's 2 w r^2 rows). A
+non-finite A, and a non-finite objective in train, raise NumericalError as
+well.
+
+Workspace: train allocates one 2 x n x n array per class worker. A class step
+takes one for its P step, where analysis_system builds A in its slot 0 and
+the product X_l C X_l' in its slot 1, and _checked_solve factors a copy of A
+in slot 1; the step returns it when it ends. So a step allocates no n x n
+array, and no workspace outlives train. Called without one, update_P and
+analysis_system allocate their own, with bitwise the same result.
 """
 
+import ctypes
+import functools
 import os
 import queue
 import threading
@@ -151,17 +165,88 @@ def update_reweights(norms: tuple, tau: float) -> tuple:
     return tuple(1.0 / (2.0 * r + tau) for r in norms)
 
 
-def _checked_solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    """Solve Y A = B by one LU factorization and verify it: a singular
-    system, or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||) for A
-    of order n (NaN included), raises a NumericalError naming the `what`
-    solve. That is the normwise backward-error test (Higham, Accuracy and
-    Stability of Numerical Algorithms, 7.1), which backward-stable solves
-    pass at any cond(A)."""
+# LAPACK names of the Cholesky solve whose integers are known to be 64-bit:
+# NumPy 2 wheels' scipy-openblas, then an OpenBLAS built with INTERFACE64
+DPOSV_SYMBOLS = ("scipy_dposv_64_", "dposv_64_")
+
+
+def _bind_posv(kernel):
+    """posv(F, Y) -> info around the ctypes function `kernel`, an ILP64
+    dposv. F (n x n) and Y (k x n) are C-order float64 arrays: F is factored
+    in place, and Y, read as LAPACK's Fortran n x k right-hand side, is
+    overwritten by the solution Z of Z F = Y (F symmetric, its upper triangle
+    read). info > 0 means a pivot was not positive."""
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    # the trailing size_t is the hidden length of the uplo string
+    kernel.argtypes = [ctypes.c_char_p, int_p, int_p, ctypes.c_void_p, int_p, ctypes.c_void_p, int_p, int_p,
+                       ctypes.c_size_t]
+    kernel.restype = None
+
+    def posv(F: np.ndarray, Y: np.ndarray) -> int:
+        n, k = len(F), len(Y)
+        for M, shape in ((F, (n, n)), (Y, (k, n))):
+            if M.shape != shape or M.dtype != np.float64 or not (M.flags.c_contiguous and M.flags.writeable):
+                raise ValueError(f"dposv needs writable C-order float64 F (n x n) and Y (k x n), "
+                                 f"got F {F.shape} and Y {Y.shape}")
+        order, rhs, info = ctypes.c_int64(n), ctypes.c_int64(k), ctypes.c_int64(0)
+        kernel(b"L", order, rhs, F.ctypes.data, order, Y.ctypes.data, order, info, 1)
+        return info.value
+
+    return posv
+
+
+@functools.cache
+def _dposv():
+    """_bind_posv of the first DPOSV_SYMBOLS name exported by an OpenBLAS
+    library mapped into this process, the one NumPy loaded, or None: where
+    NumPy does not link OpenBLAS, where the mapped libraries cannot be listed
+    (/proc/self/maps, Linux only), or where no name resolves, as in an
+    OpenBLAS with 32-bit integers, whose dposv_ this never calls. Resolved
+    once per process."""
+    if "openblas" not in _linked_blas():
+        return None
     try:
-        Y = np.linalg.solve(A.T, B.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} system singular") from exc
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            mapped = {fields[5].strip() for fields in map(str.split, fh) if len(fields) == 6}
+    except OSError:
+        return None
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in DPOSV_SYMBOLS:
+            kernel = getattr(lib, name, None)
+            if kernel is not None:
+                return _bind_posv(kernel)
+    return None
+
+
+def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, work: np.ndarray | None = None) -> np.ndarray:
+    """Solve Y A = B, A symmetric positive definite, and verify it. Where
+    _dposv resolves, A is copied into `work` (an n x n float64 C-order array,
+    or a new one) and factored there by Cholesky, and a C-order copy of B,
+    already the Fortran n x k right-hand side, is overwritten by Y; a pivot
+    that is not positive raises NumericalError("<what> system not positive
+    definite"). Otherwise Y comes from one LU factorization (np.linalg.solve),
+    and a singular system raises NumericalError("<what> system singular").
+    Then a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||) for A of
+    order n (NaN included), against the A that was built, raises a
+    NumericalError naming the `what` solve. That is the normwise
+    backward-error test (Higham, Accuracy and Stability of Numerical
+    Algorithms, 7.1), which backward-stable solves pass at any cond(A)."""
+    posv = _dposv()
+    if posv is None:
+        try:
+            Y = np.linalg.solve(A.T, B.T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{what} system singular") from exc
+    else:
+        F = np.empty(A.shape) if work is None else work
+        np.copyto(F, A)
+        Y = np.array(B, dtype=np.float64, order="C")
+        if posv(F, Y) > 0:
+            raise NumericalError(f"{what} system not positive definite")
     res = np.linalg.norm(Y @ A - B)
     bound = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Y) * np.linalg.norm(A) + np.linalg.norm(B))
     if not res <= bound:
@@ -179,6 +264,7 @@ def analysis_system(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """System matrix and right-hand side of the analysis update P_l A = B.
 
@@ -196,16 +282,19 @@ def analysis_system(
     For alpha > 0, A is positive definite and (A, B) is returned as built.
     At alpha = 0, where A = X_l C X_l' has rank at most N_l, (A + tau I, B) is
     returned: the ridge of solve_synthesis, added whatever A's conditioning.
-    A non-finite A raises NumericalError.
+    A non-finite A raises NumericalError. Given a 2 x n x n workspace `work`
+    (see train), A is built in work[0] and X_l C X_l' in work[1]; otherwise
+    both are new arrays.
     """
     n, N_l = X_l.shape
     E = np.eye(N_l) - W_l
     Q = E @ E.T
     C = hp.beta * (Q + Q.T)
     C[np.diag_indices(N_l)] += 4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * hp.alpha)
-    # one n x n temporary: (X_l C) X_l' is added into 2 alpha G in place
-    A = np.multiply(G, 2.0 * hp.alpha)
-    A += (X_l @ C) @ X_l.T
+    # (X_l C) X_l' is added into 2 alpha G in place
+    A, product = (None, None) if work is None else work
+    A = np.multiply(G, 2.0 * hp.alpha, out=A)
+    A += np.matmul(X_l @ C, X_l.T, out=product)
     A[np.diag_indices(n)] += 4.0 * hp.alpha * h
     B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
     if not np.all(np.isfinite(A)):
@@ -225,13 +314,16 @@ def update_P(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system
-    (at alpha = 0, A carries tau I). The system is solved by LU and verified
-    by _checked_solve; m, mbar are the code means of the P_l being replaced.
+    (at alpha = 0, A carries tau I). The system is solved and verified by
+    _checked_solve, which factors A in work[1], the product's slot, once
+    analysis_system has added it into A; m, mbar are the code means of the
+    P_l being replaced.
     """
-    A, B = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp)
-    return _checked_solve(A, B, "analysis")
+    A, B = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp, work)
+    return _checked_solve(A, B, "analysis", None if work is None else work[1])
 
 
 def update_S(
@@ -257,7 +349,7 @@ def update_S(
 
 def solve_synthesis(X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
     """Ridge solve for the synthesis block, before column normalization:
-    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1, by LU, verified by
+    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1, solved and verified by
     _checked_solve."""
     k = S_l.shape[0]
     B = (X_l * v) @ S_l.T
@@ -291,14 +383,17 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
     return np.eye(N_l) - M_inv / np.diag(M_inv)
 
 
-def sweep_class(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams) -> None:
+def sweep_class(
+    ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, work: np.ndarray | None = None
+) -> None:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
     when beta > 0 (at beta = 0 nothing reads W), st.W of the class whose block
     is X_l to their updates under the diagonals st.h, st.u, st.v, which are
     not refreshed. The P and D solves are verified (_checked_solve); the D
-    system always carries tau I, the P system only at alpha = 0."""
+    system always carries tau I, the P system only at alpha = 0. The P step
+    runs in the workspace `work` where one is given (see train)."""
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
-    st.P = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
+    st.P = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, work)
     st.S = update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
     st.D = update_D(X_l, st.S, st.v, hp.tau)
     if hp.beta:
@@ -474,15 +569,20 @@ def _map_classes(step, c: int) -> list:
     return results
 
 
-def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str):
-    """One iteration of class l on its record: sweep_class, update_reweights
+def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mode: str, workspaces):
+    """One iteration of class l on its record: sweep_class, in a workspace
+    taken from the queue `workspaces` and put back after it, update_reweights
     on the new blocks' relaxed_row_norms (in mode "frobenius" st.v is not
     refreshed and keeps init_state's identity), then the squared changes of P,
     S, D, W and the class's model and relaxed tuples of _class_terms, taken on
     the new blocks and their norms. Returns (squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
-    sweep_class(ds, X_l, st, hp)
+    work = workspaces.get()
+    try:
+        sweep_class(ds, X_l, st, hp, work)
+    finally:
+        workspaces.put(work)
     norms = relaxed_row_norms(X_l, st.D, st.P, st.S)
     st.h, st.u, v = update_reweights(norms, hp.tau)
     if mode == "full":
@@ -502,8 +602,10 @@ def train(
     """Run the alternating-minimization loop from init_state: each iteration
     runs sweep_class and then update_reweights on every class's record, the
     classes spread over _worker_count threads (see the module docstring), with
-    results bitwise independent of that count. Returns the final D_l, P_l as
-    a DictionaryPair, the S_l and W_l, and the history.
+    results bitwise independent of that count; each class step's P solve runs
+    in one of the workers' 2 x n x n workspaces, none of which outlives the
+    call. Returns the final D_l, P_l as a DictionaryPair, the S_l and W_l, and
+    the history.
 
     W is updated exactly when beta > 0. mode "frobenius" requires
     beta = lam = 0 and never refreshes the synthesis-fit reweighting v, so
@@ -519,11 +621,16 @@ def train(
 
     states = init_state(ds, hp)
     history = TrainHistory()
-    # cached_property takes no lock: both caches are filled before any helper starts
-    _ = ds.gram, ds.sample_sum
+    # neither cached_property nor functools.cache takes a lock: every cache is
+    # filled before any helper starts
+    _ = ds.gram, ds.sample_sum, _dposv()
+    # one workspace per class worker, so a running step never waits for one
+    workspaces = queue.SimpleQueue()
+    for _ in range(_worker_count(len(states))):
+        workspaces.put(np.empty((2, ds.n_features, ds.n_features)))
     prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
     for it in range(1, hp.max_iter + 1):
-        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode), len(states))
+        steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode, workspaces), len(states))
         obj = _finite(_add_up(model for _, (model, _) in steps), f"model objective at iteration {it}")
         relaxed = _add_up(relaxed for _, (_, relaxed) in steps)
         history.objective_model.append(obj)

@@ -21,7 +21,10 @@ from dictpair import (
     train,
 )
 from dictpair import metrics
+from dictpair import solver as solver_mod
 from dictpair.cli import PRESETS, main
+
+from conftest import inject_solve_fault, solve_kernels
 
 
 def run(capsys, *argv):
@@ -254,11 +257,52 @@ def test_negative_seed_flag_exits_2_naming_the_flag(workdir, capsys, monkeypatch
 
 
 def test_train_exits_3_on_inaccurate_solves(workdir, capsys, monkeypatch):
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
     run(capsys, *synth_args(workdir / "d"))
-    rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
-    assert rc == 3 and "numerical failure: analysis solve residual" in err
+    for posv in solve_kernels():
+        inject_solve_fault(monkeypatch, posv, lambda shape, X: X * (1.0 + 1e-3))
+        rc, _, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+        assert rc == 3 and "numerical failure: analysis solve residual" in err
+        assert not (workdir / "m.model").exists()
+
+
+def test_train_exits_3_on_an_indefinite_analysis_system(workdir, capsys, monkeypatch):
+    # a symmetric system with a negative diagonal entry, and so a negative
+    # eigenvalue, which the Cholesky kernel refuses at its first pivot
+    if solver_mod._dposv() is None:
+        pytest.skip("NumPy's BLAS exports no 64-bit-integer dposv; the LU solves indefinite systems")
+    analysis_system = solver_mod.analysis_system
+
+    def indefinite(*args):
+        A, B = analysis_system(*args)
+        A[0, 0] = -A[0, 0]
+        return A, B
+
+    monkeypatch.setattr(solver_mod, "analysis_system", indefinite)
+    run(capsys, *synth_args(workdir / "d"))
+    rc, out, err = run(capsys, *train_args(workdir / "d", workdir / "m.model"))
+    assert rc == 3 and out == ""
+    assert "numerical failure: analysis system not positive definite" in err and "Traceback" not in err
+    assert not (workdir / "m.model").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "inspect"])
+def test_project_seed_without_project_dim_exits_2(workdir, capsys, command):
+    # it would otherwise be ignored, and the command would run on the raw
+    # matrix without a word; it fails before any file is written
+    run(capsys, *synth_args(workdir / "d"))
+    assert run(capsys, *train_args(workdir / "d", workdir / "m.model"))[0] == 0
+    files = sorted(workdir.iterdir())
+    extra = {
+        "train": ["--model-out", f"{workdir}/p.model"],
+        "eval": ["--model", f"{workdir}/m.model"],
+        "ablate": ["--train-per-class", "2"],
+        "inspect": ["--model", f"{workdir}/m.model", "--out-prefix", f"{workdir}/p"],
+    }[command]
+    rc, out, err = run(capsys, command, "--data", f"{workdir}/d.mat", "--labels", f"{workdir}/d.labels",
+                       *extra, "--project-seed", "5")
+    assert rc == 2 and out == ""
+    assert "error: --project-seed needs --project-dim" in err
+    assert sorted(workdir.iterdir()) == files
 
 
 def test_train_exits_3_on_linalg_error(workdir, capsys, monkeypatch):

@@ -1,8 +1,11 @@
 import dataclasses
 import os
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from dictpair import solver
 from dictpair.cli import PRESETS, code_oracle, gradient_oracles, numeric_gradient, weight_oracles
 from dictpair.model import ClassState, init_state
 
-from conftest import CORRUPT_HP, STANDARD_HP, final_states
+from conftest import CORRUPT_HP, STANDARD_HP, final_states, inject_solve_fault, solve_kernels
 
 
 # --- row norms ---------------------------------------------------------------
@@ -166,8 +169,31 @@ def test_update_P_solve_residual(rng):
         assert np.linalg.norm(P @ A - B) < 1e-8 * np.linalg.norm(B)
 
 
+def reference_solve(A, B):
+    """Y A = B as _checked_solve computes it: NumPy's dposv kernel on copies
+    of A and B where it resolves, the LU otherwise."""
+    posv = solver._dposv()
+    if posv is None:
+        return np.linalg.solve(A.T, B.T).T
+    F, Y = A.copy(), B.copy()
+    assert posv(F, Y) == 0
+    return Y
+
+
+def assert_agrees_with_lu(Y, A, B):
+    """Y and the LU solution of Y A = B, each within the backward-error bound
+    n eps (||Y|| ||A|| + ||B||) of _checked_solve, differ through A by at
+    most the sum of their two bounds."""
+    lu = np.linalg.solve(A.T, B.T).T
+    norm, eps = np.linalg.norm, np.finfo(float).eps
+    bound = len(A) * eps * ((norm(Y) + norm(lu)) * norm(A) + 2.0 * norm(B))
+    assert norm((Y - lu) @ A) <= bound
+
+
 @pytest.mark.parametrize("n, sizes", [(5, (8, 6)), (70, (20, 60)), (64, (10, 30, 40))])
 def test_update_P_matches_lu_reference(rng, n, sizes):
+    # bitwise the solve of analysis_system's own (A, B), and within the
+    # backward-error bounds of the LU
     hp = Hyperparams(alpha=0.05, beta=0.05, lam=1e-3, atoms_per_class=3)
     for _ in range(3):
         ds = random_dataset(rng, sizes, n)
@@ -181,7 +207,8 @@ def test_update_P_matches_lu_reference(rng, n, sizes):
         m, mbar = solver.compute_means(rng.standard_normal((3, n)), X, ds.sample_sum, ds.n_samples)
         A, B = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
         P = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)
-        assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
+        assert np.array_equal(P, reference_solve(A, B))
+        assert_agrees_with_lu(P, A, B)
 
 
 @pytest.mark.parametrize("case", ["rank_deficient", "positive_definite"])
@@ -206,7 +233,8 @@ def test_alpha0_analysis_system_carries_the_tau_ridge(rng, case):
     A, B = solver.analysis_system(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
     np.testing.assert_allclose(A, A0 + hp.tau * np.eye(4), rtol=1e-14, atol=0)
     P = solver.update_P(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
-    assert np.array_equal(P, np.linalg.solve(A.T, B.T).T)
+    assert np.array_equal(P, reference_solve(A, B))
+    assert_agrees_with_lu(P, A, B)
     assert train(ds, hp)[3].iterations_run >= 1
 
 
@@ -542,11 +570,13 @@ def test_train_structure_invariants(trained_standard):
 
 def test_train_checks_every_analysis_and_synthesis_solve(standard_split, standard_hp, monkeypatch):
     # every P and D update, of every class and iteration, goes through the one
-    # checked LU solve, at alpha > 0 and at alpha = 0, where the analysis
+    # checked solve, at alpha > 0 and at alpha = 0, where the analysis
     # system carries the tau ridge (X_l C X_l' alone is rank-deficient)
     train_ds, _ = standard_split
     checked_solve, solves = solver._checked_solve, []
-    monkeypatch.setattr(solver, "_checked_solve", lambda A, B, what: solves.append(what) or checked_solve(A, B, what))
+    monkeypatch.setattr(
+        solver, "_checked_solve", lambda A, B, what, *work: solves.append(what) or checked_solve(A, B, what, *work)
+    )
     for hp in (standard_hp, dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)):
         solves.clear()
         iterations = train(train_ds, hp)[3].iterations_run
@@ -609,36 +639,43 @@ def test_solve_check_accepts_backward_stable_solves_at_high_condition():
 
 
 def test_update_P_and_update_D_factorize_once(standard_split, standard_hp, monkeypatch):
-    # each update is one LU solve of its system, with no Cholesky factorization
+    # each update is one factorization of its system: one dposv call where the
+    # kernel resolves, one LU solve where it does not, and never a
+    # np.linalg.cholesky
     train_ds, _ = standard_split
     assert standard_hp.alpha > 0
     st = init_state(train_ds, standard_hp)[0]
     X_l = train_ds.class_matrix(1)
     m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
+    n, k = X_l.shape[0], st.S.shape[0]
     solve, cholesky, calls, factored = np.linalg.solve, np.linalg.cholesky, [], []
-    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(A.shape) or solve(A, B))
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(("lu", A.shape)) or solve(A, B))
     monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
-    solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
-    n = X_l.shape[0]
-    assert factored == [] and calls == [(n, n)]
-    calls.clear()
-    solver.update_D(X_l, st.S, st.v, standard_hp.tau)
-    assert factored == [] and calls == [(st.S.shape[0],) * 2]
+    for posv in solve_kernels():
+        path = "lu" if posv is None else "dposv"
+        counted = None if posv is None else lambda F, Y, posv=posv: calls.append(("dposv", F.shape)) or posv(F, Y)
+        monkeypatch.setattr(solver, "_dposv", lambda counted=counted: counted)
+        calls.clear()
+        solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
+        assert factored == [] and calls == [(path, (n, n))]
+        calls.clear()
+        solver.update_D(X_l, st.S, st.v, standard_hp.tau)
+        assert factored == [] and calls == [(path, (k, k))]
 
 
 def test_train_catches_inaccurate_solves(standard_split, standard_hp, monkeypatch):
     # every solve off by 1e-3 relative leaves a residual near 1e-3 relative
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3))
     train_ds, _ = standard_split
     hp = dataclasses.replace(standard_hp, max_iter=2)
-    with pytest.raises(solver.NumericalError, match="analysis solve residual"):
-        train(train_ds, hp)
     X_l = train_ds.class_matrix(1)
     S_l = np.abs(np.random.default_rng(0).standard_normal((2, X_l.shape[1])))
     v = np.ones(X_l.shape[1])
-    with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
-        solver.update_D(X_l, S_l, v, 1e-6)
+    for posv in solve_kernels():
+        inject_solve_fault(monkeypatch, posv, lambda shape, X: X * (1.0 + 1e-3))
+        with pytest.raises(solver.NumericalError, match="analysis solve residual"):
+            train(train_ds, hp)
+        with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
+            solver.update_D(X_l, S_l, v, 1e-6)
 
 
 def test_train_checks_the_synthesis_solve(standard_split, standard_hp, monkeypatch):
@@ -647,34 +684,50 @@ def test_train_checks_the_synthesis_solve(standard_split, standard_hp, monkeypat
     train_ds, _ = standard_split
     k, n = standard_hp.atoms_per_class, train_ds.n_features
     assert k != n
-    solve = np.linalg.solve
-    monkeypatch.setattr(
-        np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-3) if A.shape == (k, k) else solve(A, B)
-    )
-    with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
-        train(train_ds, dataclasses.replace(standard_hp, max_iter=2))
+    for posv in solve_kernels():
+        inject_solve_fault(monkeypatch, posv, lambda shape, X: X * (1.0 + 1e-3) if shape == (k, k) else X)
+        with pytest.raises(solver.NumericalError, match="synthesis solve residual"):
+            train(train_ds, dataclasses.replace(standard_hp, max_iter=2))
 
 
-def _singular(A, B):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-@pytest.mark.parametrize("fault, message", [
-    (lambda A, B: np.full(B.shape, np.nan), "solve residual nan exceeds"),
-    (_singular, "system singular"),
+@pytest.mark.parametrize("fault, messages", [
+    (lambda shape, X: np.full(X.shape, np.nan), ("solve residual nan exceeds",) * 2),
+    (lambda shape, X: None, ("system not positive definite", "system singular")),
 ], ids=["nan-result", "singular"])
-def test_failed_solve_raises_naming_it(standard_split, standard_hp, monkeypatch, fault, message):
-    # a NaN residual fails the check (NaN > bound is False), and a LAPACK
-    # error is wrapped; each names the solve
+def test_failed_solve_raises_naming_it(standard_split, standard_hp, monkeypatch, fault, messages):
+    # a NaN residual fails the check (NaN > bound is False), and a failed
+    # factorization is wrapped, as not positive definite by the Cholesky
+    # kernel and as singular by the LU; each names the solve
     train_ds, _ = standard_split
     st = init_state(train_ds, standard_hp)[0]
     X_l = train_ds.class_matrix(1)
     m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
-    monkeypatch.setattr(np.linalg, "solve", fault)
-    with pytest.raises(solver.NumericalError, match=f"analysis {message}"):
-        solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
-    with pytest.raises(solver.NumericalError, match=f"synthesis {message}"):
-        solver.update_D(X_l, st.S, st.v, standard_hp.tau)
+    for posv in solve_kernels():
+        message = messages[posv is None]
+        inject_solve_fault(monkeypatch, posv, fault)
+        with pytest.raises(solver.NumericalError, match=f"analysis {message}"):
+            solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, standard_hp)
+        with pytest.raises(solver.NumericalError, match=f"synthesis {message}"):
+            solver.update_D(X_l, st.S, st.v, standard_hp.tau)
+
+
+def symmetric_indefinite(rng, n):
+    """A symmetric nonsingular n x n matrix with eigenvalues of both signs."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigenvalues = np.linspace(1.0, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    A = (Q * eigenvalues) @ Q.T
+    return (A + A.T) / 2.0
+
+
+def test_indefinite_system_raises_naming_the_solve(rng):
+    # the Cholesky kernel refuses a system that the LU would solve; the
+    # positive-definite premise is checked on every solve, not assumed
+    if solver._dposv() is None:
+        pytest.skip("NumPy's BLAS exports no 64-bit-integer dposv; the LU solves indefinite systems")
+    A, B = symmetric_indefinite(rng, 6), rng.standard_normal((2, 6))
+    for what in ("analysis", "synthesis"):
+        with pytest.raises(solver.NumericalError, match=f"^{what} system not positive definite$"):
+            solver._checked_solve(A, B, what)
 
 
 def iterate_by_hand(ds, states, hp, mode):
@@ -907,10 +960,13 @@ def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting
     hp = Hyperparams(**{**base, "alpha": alpha, "beta": beta, "lam": lam})
     mode = "frobenius" if setting == "frobenius" else "full"
     threads = threading.active_count()
-    serial = train_at(monkeypatch, 1, train_ds, hp, mode=mode)
-    parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
-    assert threading.active_count() == threads
-    assert same_training(serial, parallel)
+    # on both solve paths: NumPy's dposv where it resolves, and the LU
+    for posv in solve_kernels():
+        monkeypatch.setattr(solver, "_dposv", lambda posv=posv: posv)
+        serial = train_at(monkeypatch, 1, train_ds, hp, mode=mode)
+        parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
+        assert threading.active_count() == threads
+        assert same_training(serial, parallel)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1027,3 +1083,75 @@ def test_worker_count_is_1_where_the_blas_threads_cannot_be_told(monkeypatch, bl
 def test_linked_blas_is_empty_where_numpy_does_not_report_it(monkeypatch):
     monkeypatch.setattr(np, "show_config", lambda: None)
     assert solver._linked_blas() == ""
+
+
+def test_dposv_resolves_only_where_numpy_links_openblas(monkeypatch):
+    monkeypatch.setattr(solver, "_linked_blas", lambda: "accelerate")
+    assert solver._dposv.__wrapped__() is None
+
+
+@pytest.mark.parametrize("F, Y", [
+    (np.asfortranarray(np.eye(3) + 1.0), np.ones((2, 3))),
+    (np.eye(3), np.ones((3, 2))),
+    (np.eye(3, dtype=np.float32), np.ones((2, 3))),
+], ids=["fortran-order", "n-by-k", "float32"])
+def test_dposv_refuses_arrays_it_would_misread(F, Y):
+    # the kernel reads raw memory: a layout, shape or type it does not
+    # expect is refused before the call, and nothing is written
+    posv = solver._dposv()
+    if posv is None:
+        pytest.skip("NumPy's BLAS exports no 64-bit-integer dposv")
+    before = F.copy(), Y.copy()
+    with pytest.raises(ValueError, match="dposv needs writable C-order float64"):
+        posv(F, Y)
+    assert np.array_equal(F, before[0]) and np.array_equal(Y, before[1])
+
+
+# --- per-worker workspaces ---------------------------------------------------
+
+WORKSPACE_HP = Hyperparams(alpha=1.0, beta=0.01, lam=1e-3, atoms_per_class=2, max_iter=3, tol=1e-300, seed=3)
+
+
+def workspace_run(n):
+    """Arrays of a 3-iteration train on a 3-class set in n dimensions: every
+    block, then every TrainHistory list."""
+    pair, codes, weights, history = train(make_synthetic(3, n, 12, 0.1, 0.0, 5), WORKSPACE_HP)
+    lists = [getattr(history, f.name) for f in dataclasses.fields(history) if isinstance(getattr(history, f.name), list)]
+    return [*pair.D, *pair.P, *codes.S, *weights.W, *map(np.array, lists)]
+
+
+def test_train_runs_in_one_process_as_each_run_alone(tmp_path):
+    # n = 20, 64, 20 in this process, each against the same train run alone
+    # in a fresh one: a workspace of another run, or of another size, leaves
+    # no trace in the blocks or the history
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(solver.__file__).parents[1]), str(here)])}
+    alone = {}
+    for n in (20, 64):
+        out = tmp_path / f"alone_{n}.npz"
+        code = f"import numpy as np, test_solver as t; np.savez({str(out)!r}, *t.workspace_run({n}))"
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True, timeout=300)
+        with np.load(out) as arrays:
+            alone[n] = [arrays[f"arr_{i}"] for i in range(len(arrays.files))]
+    for n in (20, 64, 20):
+        got = workspace_run(n)
+        assert len(got) == len(alone[n])
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, alone[n]))
+
+
+def test_train_holds_no_workspace_once_it_returns():
+    # a 200-dimensional set: one n x n float64 buffer is 320 kB, far above
+    # the 3 classes' blocks (about 21 kB) that the result holds
+    n = 200
+    ds = make_synthetic(3, n, 8, 0.1, 0.0, 1)
+    _ = ds.gram, ds.sample_sum, solver._dposv()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = train(ds, dataclasses.replace(WORKSPACE_HP, max_iter=2))
+        held, peak = (value - baseline for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert result[3].iterations_run == 2
+    assert peak >= 2 * 8 * n * n
+    assert held < 8 * n * n
