@@ -26,7 +26,7 @@ from dictpair import solver
 from dictpair.cli import PRESETS, code_oracle, gradient_oracles, numeric_gradient, weight_oracles
 from dictpair.model import ClassState, init_state
 
-from conftest import CORRUPT_HP, STANDARD_HP, final_states, inject_solve_fault, solve_kernels
+from conftest import CORRUPT_HP, STANDARD_HP, final_states, inject_solve_fault, solve_kernels, traced_peak
 
 
 # --- row norms ---------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_update_P_identity_case(rng):
     hp = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, atoms_per_class=2)
     W = np.zeros((n, n))
     m, mbar = solver.compute_means(np.zeros((2, n)), X, X.sum(axis=1), n)
-    P = solver.update_P(X, X @ X.T, S, W, np.ones(n), np.ones(n), m, mbar, hp)
+    P = solver.update_P(X, X @ X.T, S, W, np.ones(n), np.ones(n), m, mbar, hp)[0]
     np.testing.assert_allclose(P, 4.0 * S / (4.0 + hp.tau), rtol=1e-14, atol=0)
 
 
@@ -164,8 +164,8 @@ def test_update_P_solve_residual(rng):
         h = rng.uniform(0.5, 2.0, 5)
         m, mbar = solver.compute_means(rng.standard_normal((3, 5)), X, X.sum(axis=1) + Xbar.sum(axis=1), 14)
         G = two_class_gram(X, Xbar)
-        A, B = solver.analysis_system(X, G, S, W, u, h, m, mbar, hp)
-        P = solver.update_P(X, G, S, W, u, h, m, mbar, hp)
+        A, B, _, _ = solver.analysis_system(X, G, S, W, u, h, m, mbar, hp)
+        P = solver.update_P(X, G, S, W, u, h, m, mbar, hp)[0]
         assert np.linalg.norm(P @ A - B) < 1e-8 * np.linalg.norm(B)
 
 
@@ -205,8 +205,8 @@ def test_update_P_matches_lu_reference(rng, n, sizes):
         u = rng.uniform(0.5, 2.0, N)
         h = rng.uniform(0.5, 2.0, n)
         m, mbar = solver.compute_means(rng.standard_normal((3, n)), X, ds.sample_sum, ds.n_samples)
-        A, B = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
-        P = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)
+        A, B, _, _ = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        P = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)[0]
         assert np.array_equal(P, reference_solve(A, B))
         assert_agrees_with_lu(P, A, B)
 
@@ -230,9 +230,9 @@ def test_alpha0_analysis_system_carries_the_tau_ridge(rng, case):
         assert np.linalg.matrix_rank(A0) == N_l
     else:
         np.linalg.cholesky(A0)
-    A, B = solver.analysis_system(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
+    A, B, _, _ = solver.analysis_system(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
     np.testing.assert_allclose(A, A0 + hp.tau * np.eye(4), rtol=1e-14, atol=0)
-    P = solver.update_P(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)
+    P = solver.update_P(X, ds.gram, S, W, u, h, np.zeros(2), np.zeros(2), hp)[0]
     assert np.array_equal(P, reference_solve(A, B))
     assert_agrees_with_lu(P, A, B)
     assert train(ds, hp)[3].iterations_run >= 1
@@ -250,8 +250,8 @@ def test_update_P_mean_independence_when_lam_zero(rng):
     m1 = rng.standard_normal(2)
     m2 = rng.standard_normal(2)
     G = two_class_gram(X, Xbar)
-    P1 = solver.update_P(X, G, S, W, u, h, m1, 2 * m1, hp)
-    P2 = solver.update_P(X, G, S, W, u, h, m2, -m2, hp)
+    P1 = solver.update_P(X, G, S, W, u, h, m1, 2 * m1, hp)[0]
+    P2 = solver.update_P(X, G, S, W, u, h, m2, -m2, hp)[0]
     assert np.array_equal(P1, P2)
 
 
@@ -300,7 +300,7 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         h = rng.uniform(0.5, 2.0, n)
         P = rng.standard_normal((k, n))
         m, mbar = solver.compute_means(P, X, ds.sample_sum, ds.n_samples)
-        A, B = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
+        A, B, _, _ = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
         A_ref, B_ref = explicit_complement_system(X, Xbar, S, W, u, h, P, hp)
         assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
         assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
@@ -312,13 +312,49 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         assert abs(got - want) < 1e-10 * abs(want)
 
 
-def test_analysis_system_rejects_nonfinite(rng):
+def test_analysis_system_rejects_nonfinite(rng, monkeypatch):
+    # named where it is solved, before either path factors it
     hp = Hyperparams(alpha=0.1, beta=0.1, lam=1e-3, atoms_per_class=2)
     X = rng.uniform(1.0, 2.0, (4, 5))
     X[0, 0] = np.nan
-    with pytest.raises(solver.NumericalError, match="non-finite"):
-        solver.analysis_system(X, X @ X.T, np.ones((2, 5)), np.zeros((5, 5)), np.ones(5), np.ones(4),
-                               np.zeros(2), np.zeros(2), hp)
+    for posv in solve_kernels():
+        monkeypatch.setattr(solver, "_dposv", lambda posv=posv: posv)
+        with pytest.raises(solver.NumericalError, match="^analysis system has non-finite entries$"):
+            solver.update_P(X, X @ X.T, np.ones((2, 5)), np.zeros((5, 5)), np.ones(5), np.ones(4),
+                            np.zeros(2), np.zeros(2), hp)
+
+
+def test_synthesis_system_rejects_nonfinite(rng, monkeypatch):
+    X = rng.uniform(1.0, 2.0, (4, 5))
+    S = np.abs(rng.standard_normal((2, 5)))
+    v = np.ones(5)
+    v[2] = np.nan
+    for posv in solve_kernels():
+        monkeypatch.setattr(solver, "_dposv", lambda posv=posv: posv)
+        with pytest.raises(solver.NumericalError, match="^synthesis system has non-finite entries$"):
+            solver.solve_synthesis(X, S, v, 1e-6)
+
+
+def test_update_P_in_a_workspace_allocates_no_n_by_n_array(rng):
+    # face scale: given its buffer and 2 alpha G, the P step builds, factors
+    # and checks its system with no n x n array (8 n^2 bytes), and not even
+    # an n x n bool array (n^2 bytes)
+    if solver._dposv() is None:
+        pytest.skip("NumPy's BLAS exports no 64-bit-integer dposv; the LU factors a copy of the system")
+    n, N_l, k = 504, 32, 5
+    hp = Hyperparams(alpha=1.0, beta=0.01, lam=1e-3, atoms_per_class=k)
+    ds = random_dataset(rng, (N_l, N_l), n)
+    X = ds.class_matrix(1)
+    S = np.abs(rng.standard_normal((k, N_l)))
+    W = rng.standard_normal((N_l, N_l))
+    np.fill_diagonal(W, 0.0)
+    u, h = rng.uniform(0.5, 2.0, N_l), rng.uniform(0.5, 2.0, n)
+    m, mbar = solver.compute_means(rng.standard_normal((k, n)), X, ds.sample_sum, ds.n_samples)
+    work = (np.empty((n, n)), np.multiply(ds.gram, 2.0 * hp.alpha))
+    P, PG = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp, work)
+    assert np.array_equal(P, solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp)[0])
+    assert np.array_equal(PG, P @ ds.gram)
+    assert traced_peak(solver.update_P, X, ds.gram, S, W, u, h, m, mbar, hp, work) < n * n
 
 
 # --- code update -------------------------------------------------------------
@@ -575,7 +611,7 @@ def test_train_checks_every_analysis_and_synthesis_solve(standard_split, standar
     train_ds, _ = standard_split
     checked_solve, solves = solver._checked_solve, []
     monkeypatch.setattr(
-        solver, "_checked_solve", lambda A, B, what, *work: solves.append(what) or checked_solve(A, B, what, *work)
+        solver, "_checked_solve", lambda A, B, what, times_A: solves.append(what) or checked_solve(A, B, what, times_A)
     )
     for hp in (standard_hp, dataclasses.replace(standard_hp, alpha=0.0, max_iter=10, tol=1e-12)):
         solves.clear()
@@ -598,6 +634,18 @@ def test_train_presets_pass_the_solve_check(request, preset, data):
     assert history.iterations_run >= 1
 
 
+def test_tall_class_passes_the_analysis_solve_check(monkeypatch):
+    # 2000 samples of 6 features per class: checked against its terms, whose
+    # sums run over the N_l samples, class 2's first P solve read 1.3 times
+    # the order-n bound; checked against the system as built it passes
+    train_ds, _ = split(make_synthetic(2, 6, 2005, 0.1, 0.0, 7), 2000, 7)
+    alpha, _, lam = PRESETS["pie"]
+    hp = Hyperparams(alpha=alpha, beta=0.0, lam=lam, atoms_per_class=2, seed=1, max_iter=1)
+    for posv in solve_kernels():
+        monkeypatch.setattr(solver, "_dposv", lambda posv=posv: posv)
+        assert train(train_ds, hp)[3].iterations_run == 1
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("data", ["standard", "corrupt"])
 def test_analysis_systems_of_every_preset_are_positive_definite(request, monkeypatch, preset, data):
@@ -612,10 +660,10 @@ def test_analysis_systems_of_every_preset_are_positive_definite(request, monkeyp
     analysis_system, worst = solver.analysis_system, []
 
     def recorded(*args):
-        A, B = analysis_system(*args)
-        eigenvalues = np.linalg.eigvalsh(A)
-        worst.append(eigenvalues[0] / (len(A) * np.finfo(float).eps * eigenvalues[-1]))
-        return A, B
+        system = analysis_system(*args)
+        eigenvalues = np.linalg.eigvalsh(system[0])
+        worst.append(eigenvalues[0] / (len(system[0]) * np.finfo(float).eps * eigenvalues[-1]))
+        return system
 
     monkeypatch.setattr(solver, "analysis_system", recorded)
     history = train(train_ds, hp)[3]
@@ -726,8 +774,9 @@ def test_indefinite_system_raises_naming_the_solve(rng):
         pytest.skip("NumPy's BLAS exports no 64-bit-integer dposv; the LU solves indefinite systems")
     A, B = symmetric_indefinite(rng, 6), rng.standard_normal((2, 6))
     for what in ("analysis", "synthesis"):
+        # a copy each time: the kernel factors the system where it lies
         with pytest.raises(solver.NumericalError, match=f"^{what} system not positive definite$"):
-            solver._checked_solve(A, B, what)
+            solver._checked_solve(A.copy(), B, what, lambda Y: Y @ A)
 
 
 def iterate_by_hand(ds, states, hp, mode):
@@ -921,7 +970,7 @@ def test_P_and_W_steps_never_raise_the_surrogate(corrupt_split, corrupt_hp, monk
             X_l = train_ds.class_matrix(l + 1)
             m, mbar = solver.compute_means(st.P, X_l, train_ds.sample_sum, train_ds.n_samples)
             before = surrogate_relaxed(train_ds, states, hp)
-            st.P = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)
+            st.P = solver.update_P(X_l, train_ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp)[0]
             rise(before)
             st.S = solver.update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
             st.D = solver.update_D(X_l, st.S, st.v, hp.tau)
@@ -967,6 +1016,23 @@ def test_train_is_bitwise_equal_at_1_and_3_workers(request, monkeypatch, setting
         parallel = train_at(monkeypatch, 3, train_ds, hp, mode=mode)
         assert threading.active_count() == threads
         assert same_training(serial, parallel)
+
+
+@pytest.mark.parametrize("data", ["standard", "corrupt"])
+def test_objectives_are_bitwise_equal_at_1_and_3_workers(request, monkeypatch, data):
+    # each objective's class loop runs on the class workers and adds the
+    # terms up in class order
+    train_ds, _ = request.getfixturevalue(f"{data}_split")
+    hp = Hyperparams(**(STANDARD_HP if data == "standard" else CORRUPT_HP))
+    states = final_states(train_ds, train(train_ds, dataclasses.replace(hp, max_iter=3)), hp)
+    threads = threading.active_count()
+    for objective in (objective_model, objective_relaxed, surrogate_relaxed):
+        values = []
+        for workers in (1, 3):
+            monkeypatch.setattr(solver, "_worker_count", lambda c, workers=workers: min(c, workers))
+            values.append(objective(train_ds, states, hp))
+        assert threading.active_count() == threads
+        assert values[0] == values[1], objective.__name__
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1031,7 +1097,8 @@ def test_train_caches_gram_and_sample_sum_before_helpers_start(monkeypatch):
     start, cached = threading.Thread.start, []
     monkeypatch.setattr(threading.Thread, "start", lambda t: cached.append(vars(ds).keys() >= {"gram", "sample_sum"}) or start(t))
     train_at(monkeypatch, 3, ds, hp)
-    assert cached == [True] * 4
+    # 2 helpers for the initial objective and for each of the 2 iterations
+    assert cached == [True] * 6
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
