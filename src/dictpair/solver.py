@@ -66,38 +66,31 @@ are not exact block minimizers.
 
 Numerical guards: every analysis and synthesis system is solved by one
 Cholesky factorization, LAPACK dposv from the OpenBLAS NumPy has loaded
-(_dposv), in place; where no such kernel resolves (NumPy not linked to
-OpenBLAS, or not to its 64-bit-integer build) by one LU factorization
-(np.linalg.solve) instead. No dependency beyond NumPy is used. Every solve is
-verified on every run (_checked_solve): ||A|| is taken before A is factored,
+(_dposv), in place in a copy of A; where no such kernel resolves (NumPy not
+linked to OpenBLAS, or not to its 64-bit-integer build) by one LU
+factorization (np.linalg.solve) instead. No dependency beyond NumPy is used.
+Every solve is verified on every run (_checked_solve): ||A|| is taken first,
 and a non-finite norm raises NumericalError ("<what> system has non-finite
-entries"). A system that is not positive definite (Cholesky) or singular
-(LU), or a residual ||Y A - B|| above n eps (||Y|| ||A|| + ||B||), n the
-order of A (NaN too), raises NumericalError naming the solve. An n x n P
-system is factored where it was built, so its check forms Y A from the
-system's own terms, 2 alpha (Y G) + ((Y X_l) C) X_l' + Y diag(d) (see
-analysis_system), unless the class has more samples than features: then
-the P system, like a k x k D system, is checked against a copy of the
-system as built (see update_P). For alpha > 0 the analysis system is positive definite: its
-4 alpha diag(h) term is, and every other term is semidefinite. So it is
-solved as built. At alpha = 0 it is X_l C X_l', of rank at most N_l, so
-tau*I is always added to it, as solve_synthesis always adds tau*I to the
-synthesis system. There the P step minimizes the surrogate plus
-(tau/2) ||P_l||_F^2, as the D step, before its column normalization,
-minimizes its fit term plus 2 tau ||D_l||_F^2 (the scales follow from the
-surrogate's 2 w r^2 rows). A non-finite objective in train raises
-NumericalError as well.
+entries"), so a non-finite system is named where it is solved. A system that
+is not positive definite (Cholesky) or singular (LU), or a residual
+||Y A - B|| above n eps (||Y|| ||A|| + ||B||), n the order of A (NaN too),
+against the A that was built, raises NumericalError naming the solve. For
+alpha > 0 the analysis system is positive definite: its 4 alpha diag(h) term
+is, and every other term is semidefinite. So it is solved as built. At
+alpha = 0 it is X_l C X_l', of rank at most N_l, so tau*I is always added to
+it, as solve_synthesis always adds tau*I to the synthesis system. There the P
+step minimizes the surrogate plus (tau/2) ||P_l||_F^2, as the D step, before
+its column normalization, minimizes its fit term plus 2 tau ||D_l||_F^2 (the
+scales follow from the surrogate's 2 w r^2 rows). A non-finite objective in
+train raises NumericalError as well.
 
-Workspace: train forms 2 alpha G once and allocates one n x n buffer per
+Workspace: train forms 2 alpha G once and allocates one 2 x n x n array per
 class worker. A class step takes one for its P step: analysis_system writes
-X_l C X_l' into the buffer and adds 2 alpha G and the diagonal there, and
-_checked_solve factors A in it; the step returns the buffer when it ends. So
-a step allocates no n x n array (but the copy a class with N_l > n checks
-against, smaller than X_l), and neither the buffers nor 2 alpha G outlive
-train. Where the P check forms P_l G from the terms, _class_terms reads it
-for alpha ||P_l Xbar_l||_F^2, so it is formed once per step. Called without a
-workspace, update_P and analysis_system allocate their own, with bitwise the
-same result.
+X_l C X_l' into its slot 0 and adds 2 alpha G and the diagonal there, and
+_checked_solve factors a copy of A in slot 1; the step returns it when it
+ends. So a step allocates no n x n array, and neither the workspaces nor
+2 alpha G outlive train. Called without one, update_P and analysis_system
+allocate their own, with bitwise the same result.
 """
 
 import ctypes
@@ -232,22 +225,21 @@ def _dposv():
     return None
 
 
-def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, times_A) -> np.ndarray:
+def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, work: np.ndarray | None = None) -> np.ndarray:
     """Solve Y A = B, A symmetric positive definite, and verify it. ||A||_F is
     taken first; a non-finite norm raises NumericalError("<what> system has
-    non-finite entries"). Where _dposv resolves, A itself is factored by
-    Cholesky, where it lies and with no copy, so it is overwritten, and a
-    C-order copy of B, already the Fortran n x k right-hand side, is
-    overwritten by Y; a pivot that is not positive raises NumericalError("<what>
-    system not positive definite"). Otherwise Y comes from one LU factorization
-    (np.linalg.solve), and a singular system raises NumericalError("<what>
-    system singular"). Then times_A(Y) forms Y A without reading A, which
-    the factorization may have overwritten: from the system's own terms, or
-    from a copy of A the caller kept. A residual ||Y A - B|| above
-    n eps (||Y|| ||A|| + ||B||) for A of order n (NaN included) raises a
-    NumericalError naming the `what` solve. That is the normwise
-    backward-error test (Higham, Accuracy and Stability of Numerical
-    Algorithms, 7.1), which backward-stable solves pass at any cond(A)."""
+    non-finite entries"). Where _dposv resolves, A is copied into `work` (an
+    n x n float64 C-order array, or a new one) and factored there by
+    Cholesky, and a C-order copy of B, already the Fortran n x k right-hand
+    side, is overwritten by Y; a pivot that is not positive raises
+    NumericalError("<what> system not positive definite"). Otherwise Y comes
+    from one LU factorization (np.linalg.solve), and a singular system raises
+    NumericalError("<what> system singular"). Then a residual ||Y A - B||
+    above n eps (||Y|| ||A|| + ||B||) for A of order n (NaN included),
+    against the A that was built, raises a NumericalError naming the `what`
+    solve. That is the normwise backward-error test (Higham, Accuracy and
+    Stability of Numerical Algorithms, 7.1), which backward-stable solves
+    pass at any cond(A)."""
     norm_A = np.linalg.norm(A)
     if not np.isfinite(norm_A):
         raise NumericalError(f"{what} system has non-finite entries")
@@ -258,10 +250,12 @@ def _checked_solve(A: np.ndarray, B: np.ndarray, what: str, times_A) -> np.ndarr
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{what} system singular") from exc
     else:
+        F = np.empty(A.shape) if work is None else work
+        np.copyto(F, A)
         Y = np.array(B, dtype=np.float64, order="C")
-        if posv(A, Y) > 0:
+        if posv(F, Y) > 0:
             raise NumericalError(f"{what} system not positive definite")
-    res = np.linalg.norm(times_A(Y) - B)
+    res = np.linalg.norm(Y @ A - B)
     bound = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Y) * norm_A + np.linalg.norm(B))
     if not res <= bound:
         raise NumericalError(f"{what} solve residual {res:.3e} exceeds n eps (||Y|| ||A|| + ||B||) = {bound:.3e}")
@@ -279,13 +273,12 @@ def analysis_system(
     mbar: np.ndarray,
     hp: Hyperparams,
     work: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """System matrix and right-hand side of the analysis update P_l A = B,
-    with the terms that form A.
+) -> tuple[np.ndarray, np.ndarray]:
+    """System matrix and right-hand side of the analysis update P_l A = B.
 
     In Gram form, with G = X X' over the whole dataset and Q = (I - W_l)(I - W_l)':
 
-    A = 2 alpha G + X_l C X_l' + diag(d),  d = 4 alpha h
+    A = 2 alpha G + X_l C X_l' + 4 alpha diag(h)
     C = 4 diag(u) + beta (Q + Q') + (2 lam (N_l - 1) - 2 alpha) I
     B = 4 (S_l U) X_l' + 2 lam (m - N_l mbar)(X_l 1)'
 
@@ -294,26 +287,26 @@ def analysis_system(
     B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with the replicated means
     M_l = m 1', Mbar_l = mbar 1', rewritten through Xbar_l Xbar_l' = G - X_l X_l'.
 
-    For alpha > 0, A is positive definite and is returned as built. At
-    alpha = 0, where A = X_l C X_l' has rank at most N_l, d is tau (every
-    entry): the ridge of solve_synthesis, added whatever A's conditioning.
-    Returns (A, B, C, d). Given a workspace work = (buffer, 2 alpha G) (see
-    train), X_l C X_l' is written into the n x n buffer and the scaled Gram
-    and diag(d) are added to it there, so A is the buffer; otherwise A and
-    2 alpha G are new arrays. Either way A is bitwise the same.
+    For alpha > 0, A is positive definite and (A, B) is returned as built.
+    At alpha = 0, where A = X_l C X_l' has rank at most N_l, (A + tau I, B) is
+    returned: the ridge of solve_synthesis, added whatever A's conditioning.
+    Given a workspace work = (slots, 2 alpha G) (see train), X_l C X_l' is
+    written into slots[0] and the scaled Gram and the diagonal are added to
+    it there, so A is slots[0]; otherwise A and 2 alpha G are new arrays.
+    Either way A is bitwise the same.
     """
     n, N_l = X_l.shape
     E = np.eye(N_l) - W_l
     Q = E @ E.T
     C = hp.beta * (Q + Q.T)
     C[np.diag_indices(N_l)] += 4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * hp.alpha)
-    buffer, scaled_gram = (None, np.multiply(G, 2.0 * hp.alpha)) if work is None else work
-    A = np.matmul(X_l @ C, X_l.T, out=buffer)
+    slots, scaled_gram = (None, np.multiply(G, 2.0 * hp.alpha)) if work is None else work
+    A = np.matmul(X_l @ C, X_l.T, out=None if slots is None else slots[0])
     A += scaled_gram
-    d = 4.0 * hp.alpha * h if hp.alpha else np.full(n, hp.tau)
-    A[np.diag_indices(n)] += d
+    # at alpha = 0 the 4 alpha h term is 0 and tau is added instead
+    A[np.diag_indices(n)] += 4.0 * hp.alpha * h if hp.alpha else hp.tau
     B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
-    return A, B, C, d
+    return A, B
 
 
 def update_P(
@@ -327,35 +320,16 @@ def update_P(
     mbar: np.ndarray,
     hp: Hyperparams,
     work: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system
-    (at alpha = 0, A carries tau I). The system is solved by _checked_solve,
-    which factors A where analysis_system built it (in the buffer of
-    `work`, where one is given) and checks P_l against A's terms:
-    2 alpha (P_l G) + ((P_l X_l) C) X_l' + P_l diag(d). A class with more
-    samples than features (N_l > n) is checked against a copy of A instead:
-    there the terms' sums over N_l samples carry rounding that the order-n
-    bound does not allow for, and A is smaller than X_l. m, mbar are the
-    code means of the P_l being replaced. Returns P_l and the P_l G the
-    check formed, or None where it formed none (alpha = 0, where A has no
-    Gram term, or N_l > n).
+    (at alpha = 0, A carries tau I). The system is solved and verified by
+    _checked_solve, which factors a copy of A in slots[1] of the workspace
+    `work` where one is given (see train), and checks P_l against the A
+    analysis_system built; m, mbar are the code means of the P_l being
+    replaced.
     """
-    A, B, C, d = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp, work)
-    n, N_l = X_l.shape
-    if N_l > n:
-        built = A.copy()
-        return _checked_solve(A, B, "analysis", lambda P: P @ built), None
-    PG = None
-
-    def times_A(P):
-        nonlocal PG
-        PA = ((P @ X_l) @ C) @ X_l.T + P * d
-        if hp.alpha:
-            PG = P @ G
-            PA += 2.0 * hp.alpha * PG
-        return PA
-
-    return _checked_solve(A, B, "analysis", times_A), PG
+    A, B = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp, work)
+    return _checked_solve(A, B, "analysis", None if work is None else work[0][1])
 
 
 def update_S(
@@ -381,14 +355,12 @@ def update_S(
 
 def solve_synthesis(X_l: np.ndarray, S_l: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
     """Ridge solve for the synthesis block, before column normalization:
-    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1, solved by _checked_solve in a
-    copy of the k x k system and checked against the system as built. Formed
-    from its terms, ((D_l S_l) V) S_l' carries rounding from sums over the
-    N_l samples that the order-k bound does not allow for."""
+    D_l = (X_l V S_l') (S_l V S_l' + tau I)^-1, solved and verified by
+    _checked_solve."""
     k = S_l.shape[0]
     B = (X_l * v) @ S_l.T
     A = (S_l * v) @ S_l.T + tau * np.eye(k)
-    return _checked_solve(A.copy(), B, "synthesis", lambda D: D @ A)
+    return _checked_solve(A, B, "synthesis")
 
 
 def _normalize_columns(D_l: np.ndarray, n: int) -> np.ndarray:
@@ -419,22 +391,19 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
 
 def sweep_class(
     ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, work: tuple | None = None
-) -> np.ndarray | None:
+) -> None:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
     when beta > 0 (at beta = 0 nothing reads W), st.W of the class whose block
     is X_l to their updates under the diagonals st.h, st.u, st.v, which are
     not refreshed. The P and D solves are verified (_checked_solve); the D
-    system always carries tau I, the P system only at alpha = 0. The P
-    system is built and factored in the workspace `work` where one is given
-    (see train). Returns, for _class_terms, the new P_l G that the P check
-    formed, or None where it formed none (see update_P)."""
+    system always carries tau I, the P system only at alpha = 0. The P step
+    runs in the workspace `work` where one is given (see train)."""
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
-    st.P, PG = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, work)
+    st.P = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, work)
     st.S = update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
     st.D = update_D(X_l, st.S, st.v, hp.tau)
     if hp.beta:
         st.W = update_W(X_l, st.P)
-    return PG
 
 
 def weight_term(X_l: np.ndarray, P_l: np.ndarray, W_l: np.ndarray) -> float:
@@ -448,23 +417,18 @@ def weight_term(X_l: np.ndarray, P_l: np.ndarray, W_l: np.ndarray) -> float:
     )
 
 
-def _class_terms(
-    ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, norms: tuple, PG: np.ndarray | None = None
-) -> tuple:
+def _class_terms(ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, norms: tuple) -> tuple:
     """Class l's term tuples of the model, relaxed and surrogate objectives,
     each in the order its objective adds them up, from the class block X_l
     and its relaxed_row_norms: the fit through P then D (model), or the
     synthesis and analysis fits (relaxed and, a row of norm r with diagonal
     entry w counting 2 w r^2, surrogate); then alpha * ||P_l'||_21, and last
-    the penalties all three share: alpha * ||P_l Xbar_l||_F^2 (in Gram form,
-    from P_l G: PG where given, as sweep_class returns it, else formed here)
+    the penalties all three share: alpha * ||P_l Xbar_l||_F^2 (in Gram form)
     and the beta (weight_term) and lam (code-discrimination) terms. Only the
     surrogate tuple reads the diagonals, and only it and the relaxed tuple S_l."""
     r_h, r_u, r_v = norms
     PX = st.P @ X_l
-    if PG is None:
-        PG = st.P @ ds.gram
-    penalties = hp.alpha * float(np.sum((PG - PX @ X_l.T) * st.P))
+    penalties = hp.alpha * float(np.sum((st.P @ ds.gram - PX @ X_l.T) * st.P))
     if hp.beta:
         penalties += hp.beta * weight_term(X_l, st.P, st.W)
     if hp.lam:
@@ -622,13 +586,12 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
     on the new blocks' relaxed_row_norms (in mode "frobenius" st.v is not
     refreshed and keeps init_state's identity), then the squared changes of P,
     S, D, W and the class's model and relaxed tuples of _class_terms, taken on
-    the new blocks, their norms and the P_l G of the P check. Returns
-    (squared changes, terms)."""
+    the new blocks and their norms. Returns (squared changes, terms)."""
     X_l = ds.class_matrix(l + 1)
     old = (st.P, st.S, st.D, st.W)
     work = workspaces.get()
     try:
-        PG = sweep_class(ds, X_l, st, hp, work)
+        sweep_class(ds, X_l, st, hp, work)
     finally:
         workspaces.put(work)
     norms = relaxed_row_norms(X_l, st.D, st.P, st.S)
@@ -639,7 +602,7 @@ def _class_step(ds: LabeledDataset, l: int, st: ClassState, hp: Hyperparams, mod
     squared = tuple(
         np.linalg.norm((a - b).ravel()) ** 2 for a, b in zip(old, (st.P, st.S, st.D, st.W))
     )
-    return squared, _class_terms(ds, X_l, st, hp, norms, PG)[:2]
+    return squared, _class_terms(ds, X_l, st, hp, norms)[:2]
 
 
 def train(
@@ -651,10 +614,10 @@ def train(
     runs sweep_class and then update_reweights on every class's record, the
     classes spread over _worker_count threads (see the module docstring), with
     results bitwise independent of that count. 2 alpha G is formed once, and
-    each worker has one n x n buffer, in which a class step builds and
-    factors its P system; neither outlives the call. The initial model
-    objective runs on the same threads. Returns the final D_l, P_l as a
-    DictionaryPair, the S_l and W_l, and the history.
+    each worker has one 2 x n x n workspace, in which a class step builds its
+    P system and factors a copy of it; neither outlives the call. The
+    initial model objective runs on the same threads. Returns the final
+    D_l, P_l as a DictionaryPair, the S_l and W_l, and the history.
 
     W is updated exactly when beta > 0. mode "frobenius" requires
     beta = lam = 0 and never refreshes the synthesis-fit reweighting v, so
@@ -673,10 +636,10 @@ def train(
     # neither cached_property nor functools.cache takes a lock: every cache is
     # filled before any helper starts
     _ = ds.gram, ds.sample_sum, _dposv()
-    # one buffer per class worker, so a running step never waits for one
+    # one workspace per class worker, so a running step never waits for one
     scaled_gram, workspaces = np.multiply(ds.gram, 2.0 * hp.alpha), queue.SimpleQueue()
     for _ in range(_worker_count(len(states))):
-        workspaces.put((np.empty((ds.n_features, ds.n_features)), scaled_gram))
+        workspaces.put((np.empty((2, ds.n_features, ds.n_features)), scaled_gram))
     prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
     for it in range(1, hp.max_iter + 1):
         steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode, workspaces), len(states))

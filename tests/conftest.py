@@ -59,9 +59,7 @@ def inject_solve_fault(monkeypatch, posv, fault) -> None:
     X), shape that of the system matrix; where fault returns None the
     factorization fails instead (a pivot that is not positive, or a singular
     matrix). X is the solution in the layout the path computes it, k x n for
-    the kernel and n x k for the LU, so a fault must not depend on it. The
-    kernel gets the system itself, which _checked_solve factors in place;
-    the residual check that follows is _checked_solve's own."""
+    the kernel and n x k for the LU, so a fault must not depend on it."""
     if posv is None:
         solve = np.linalg.solve
 

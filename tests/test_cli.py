@@ -273,9 +273,9 @@ def test_train_exits_3_on_an_indefinite_analysis_system(workdir, capsys, monkeyp
     analysis_system = solver_mod.analysis_system
 
     def indefinite(*args):
-        system = analysis_system(*args)
-        system[0][0, 0] = -system[0][0, 0]
-        return system
+        A, B = analysis_system(*args)
+        A[0, 0] = -A[0, 0]
+        return A, B
 
     monkeypatch.setattr(solver_mod, "analysis_system", indefinite)
     run(capsys, *synth_args(workdir / "d"))
