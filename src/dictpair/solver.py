@@ -74,23 +74,25 @@ and a non-finite norm raises NumericalError ("<what> system has non-finite
 entries"), so a non-finite system is named where it is solved. A system that
 is not positive definite (Cholesky) or singular (LU), or a residual
 ||Y A - B|| above n eps (||Y|| ||A|| + ||B||), n the order of A (NaN too),
-against the A that was built, raises NumericalError naming the solve. For
-alpha > 0 the analysis system is positive definite: its 4 alpha diag(h) term
-is, and every other term is semidefinite. So it is solved as built. At
-alpha = 0 it is X_l C X_l', of rank at most N_l, so tau*I is always added to
+against the A that was built, raises NumericalError naming the solve. The
+analysis system is built divided by 2 alpha (see analysis_system), which
+leaves P_l, and the check's ratio of residual to bound, as they are. For
+alpha > 0 it is positive definite: its 2 diag(h) term is, and every other
+term is semidefinite. So it is solved as built. At alpha = 0 it has no Gram
+or h term and is X_l C X_l', of rank at most N_l, so tau*I is always added to
 it, as solve_synthesis always adds tau*I to the synthesis system. There the P
 step minimizes the surrogate plus (tau/2) ||P_l||_F^2, as the D step, before
 its column normalization, minimizes its fit term plus 2 tau ||D_l||_F^2 (the
 scales follow from the surrogate's 2 w r^2 rows). A non-finite objective in
 train raises NumericalError as well.
 
-Workspace: train forms 2 alpha G once and allocates one 2 x n x n array per
-class worker. A class step takes one for its P step: analysis_system writes
-X_l C X_l' into its slot 0 and adds 2 alpha G and the diagonal there, and
+Workspace: train allocates one 2 x n x n buffer per class worker and no other
+n x n array. A class step takes one for its P step: analysis_system writes
+X_l C X_l' into its slot 0 and adds the cached G and the diagonal there, and
 _checked_solve factors a copy of A in slot 1; the step returns it when it
-ends. So a step allocates no n x n array, and neither the workspaces nor
-2 alpha G outlive train. Called without one, update_P and analysis_system
-allocate their own, with bitwise the same result.
+ends. So a step allocates no n x n array, and no buffer outlives train.
+Called without one, update_P and analysis_system allocate their own, with
+bitwise the same result.
 """
 
 import ctypes
@@ -272,40 +274,49 @@ def analysis_system(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-    work: tuple | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """System matrix and right-hand side of the analysis update P_l A = B.
 
-    In Gram form, with G = X X' over the whole dataset and Q = (I - W_l)(I - W_l)':
+    In Gram form, with G = X X' over the whole dataset, E = I - W_l and the
+    scale s = 2 alpha (s = 1 at alpha = 0):
 
-    A = 2 alpha G + X_l C X_l' + 4 alpha diag(h)
-    C = 4 diag(u) + beta (Q + Q') + (2 lam (N_l - 1) - 2 alpha) I
-    B = 4 (S_l U) X_l' + 2 lam (m - N_l mbar)(X_l 1)'
+    A = X_l C X_l' + G + 2 diag(h)
+    C = [2 beta E E' + diag(4 u + 2 lam (N_l - 1) - 2 alpha)] / s
+    B = [4 (S_l U) X_l' + 2 lam (m - N_l mbar)(X_l 1)'] / s
 
     This is the explicit-complement system A = 4 X_l U X_l' + 2 alpha Xbar_l Xbar_l'
     + 4 alpha diag(h) + beta X_l (Q + Q') X_l' + 2 lam (N_l - 1) X_l X_l',
-    B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with the replicated means
-    M_l = m 1', Mbar_l = mbar 1', rewritten through Xbar_l Xbar_l' = G - X_l X_l'.
+    B = 4 S_l U X_l' + 2 lam (M_l - N_l Mbar_l) X_l' with Q = E E' and the
+    replicated means M_l = m 1', Mbar_l = mbar 1', rewritten through
+    Xbar_l Xbar_l' = G - X_l X_l' and divided by s, which leaves P_l as it is
+    and lets A read G as cached. At alpha = 0, where s = 1, the system is
+    bitwise that of the undivided form: NumPy forms E E' by syrk, so it is
+    exactly symmetric, and 2 beta E E' is beta (Q + Q') to the bit.
 
     For alpha > 0, A is positive definite and (A, B) is returned as built.
-    At alpha = 0, where A = X_l C X_l' has rank at most N_l, (A + tau I, B) is
-    returned: the ridge of solve_synthesis, added whatever A's conditioning.
-    Given a workspace work = (slots, 2 alpha G) (see train), X_l C X_l' is
-    written into slots[0] and the scaled Gram and the diagonal are added to
-    it there, so A is slots[0]; otherwise A and 2 alpha G are new arrays.
-    Either way A is bitwise the same.
+    At alpha = 0 there is no Gram or h term, G is not read, and
+    (X_l C X_l' + tau I, B) is returned: the ridge of solve_synthesis, added
+    whatever the conditioning of X_l C X_l'. At beta = 0 the E E' term is
+    zero, so C is diagonal and W_l is not read. A is written into `out` (an
+    n x n float64 array, see train) where one is given, with bitwise the
+    same result.
     """
     n, N_l = X_l.shape
-    E = np.eye(N_l) - W_l
-    Q = E @ E.T
-    C = hp.beta * (Q + Q.T)
-    C[np.diag_indices(N_l)] += 4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * hp.alpha)
-    slots, scaled_gram = (None, np.multiply(G, 2.0 * hp.alpha)) if work is None else work
-    A = np.matmul(X_l @ C, X_l.T, out=None if slots is None else slots[0])
-    A += scaled_gram
-    # at alpha = 0 the 4 alpha h term is 0 and tau is added instead
-    A[np.diag_indices(n)] += 4.0 * hp.alpha * h if hp.alpha else hp.tau
-    B = 4.0 * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam * (m - N_l * mbar), X_l.sum(axis=1))
+    s = 2.0 * hp.alpha or 1.0
+    c = (4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * hp.alpha)) / s
+    if hp.beta:
+        E = np.eye(N_l) - W_l
+        C = 2.0 * hp.beta / s * (E @ E.T)
+        C[np.diag_indices(N_l)] += c
+        XC = X_l @ C
+    else:
+        XC = X_l * c
+    A = np.matmul(XC, X_l.T, out=out)
+    if hp.alpha:
+        A += G
+    A[np.diag_indices(n)] += 2.0 * h if hp.alpha else hp.tau
+    B = (4.0 / s) * (S_l * u) @ X_l.T + np.outer(2.0 * hp.lam / s * (m - N_l * mbar), X_l.sum(axis=1))
     return A, B
 
 
@@ -319,17 +330,17 @@ def update_P(
     m: np.ndarray,
     mbar: np.ndarray,
     hp: Hyperparams,
-    work: tuple | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form analysis update P_l = B @ inv(A); see analysis_system
-    (at alpha = 0, A carries tau I). The system is solved and verified by
-    _checked_solve, which factors a copy of A in slots[1] of the workspace
-    `work` where one is given (see train), and checks P_l against the A
-    analysis_system built; m, mbar are the code means of the P_l being
-    replaced.
+    (at alpha = 0, A carries tau I). Given a 2 x n x n buffer `work` (see
+    train), A is built in work[0], and _checked_solve factors a copy of it in
+    work[1]; the system is solved and verified by _checked_solve, which checks
+    P_l against the A analysis_system built. m, mbar are the code means of
+    the P_l being replaced.
     """
-    A, B = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp, work)
-    return _checked_solve(A, B, "analysis", None if work is None else work[0][1])
+    A, B = analysis_system(X_l, G, S_l, W_l, u, h, m, mbar, hp, None if work is None else work[0])
+    return _checked_solve(A, B, "analysis", None if work is None else work[1])
 
 
 def update_S(
@@ -390,14 +401,15 @@ def update_W(X_l: np.ndarray, P_l: np.ndarray) -> np.ndarray:
 
 
 def sweep_class(
-    ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, work: tuple | None = None
+    ds: LabeledDataset, X_l: np.ndarray, st: ClassState, hp: Hyperparams, work: np.ndarray | None = None
 ) -> None:
     """Rebind st.P (from the code means of the current P_l), st.S, st.D and,
     when beta > 0 (at beta = 0 nothing reads W), st.W of the class whose block
     is X_l to their updates under the diagonals st.h, st.u, st.v, which are
     not refreshed. The P and D solves are verified (_checked_solve); the D
     system always carries tau I, the P system only at alpha = 0. The P step
-    runs in the workspace `work` where one is given (see train)."""
+    runs in the 2 x n x n buffer `work` where one is given (see update_P
+    and train)."""
     m, mbar = compute_means(st.P, X_l, ds.sample_sum, ds.n_samples)
     st.P = update_P(X_l, ds.gram, st.S, st.W, st.u, st.h, m, mbar, hp, work)
     st.S = update_S(X_l, st.D, st.P, st.S, st.u, st.v, hp.tau)
@@ -613,9 +625,9 @@ def train(
     """Run the alternating-minimization loop from init_state: each iteration
     runs sweep_class and then update_reweights on every class's record, the
     classes spread over _worker_count threads (see the module docstring), with
-    results bitwise independent of that count. 2 alpha G is formed once, and
-    each worker has one 2 x n x n workspace, in which a class step builds its
-    P system and factors a copy of it; neither outlives the call. The
+    results bitwise independent of that count. Each worker has one
+    2 x n x n buffer, in which a class step builds its P system from the
+    cached G and factors a copy of it; no buffer outlives the call. The
     initial model objective runs on the same threads. Returns the final
     D_l, P_l as a DictionaryPair, the S_l and W_l, and the history.
 
@@ -637,9 +649,9 @@ def train(
     # filled before any helper starts
     _ = ds.gram, ds.sample_sum, _dposv()
     # one workspace per class worker, so a running step never waits for one
-    scaled_gram, workspaces = np.multiply(ds.gram, 2.0 * hp.alpha), queue.SimpleQueue()
+    workspaces = queue.SimpleQueue()
     for _ in range(_worker_count(len(states))):
-        workspaces.put((np.empty((2, ds.n_features, ds.n_features)), scaled_gram))
+        workspaces.put(np.empty((2, ds.n_features, ds.n_features)))
     prev_obj = _finite(objective_model(ds, states, hp), "initial model objective")
     for it in range(1, hp.max_iter + 1):
         steps = _map_classes(lambda l: _class_step(ds, l, states[l], hp, mode, workspaces), len(states))

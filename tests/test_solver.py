@@ -284,8 +284,9 @@ def random_dataset(rng, sizes, n=6):
 
 @pytest.mark.parametrize("sizes", [(4, 5, 3), (6, 2), (7,)])
 def test_gram_form_matches_explicit_complement(rng, sizes):
-    # the shipped analysis system and objectives against the explicit-complement
-    # formulas; (7,) is the single-class case with an empty complement
+    # the shipped analysis system, which is divided by 2 alpha, and the
+    # objectives against the explicit-complement formulas; (7,) is the
+    # single-class case with an empty complement
     hp = Hyperparams(alpha=0.3, beta=0.2, lam=0.05, atoms_per_class=3)
     ds = random_dataset(rng, sizes)
     n, k = ds.n_features, 3
@@ -301,7 +302,7 @@ def test_gram_form_matches_explicit_complement(rng, sizes):
         P = rng.standard_normal((k, n))
         m, mbar = solver.compute_means(P, X, ds.sample_sum, ds.n_samples)
         A, B = solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)
-        A_ref, B_ref = explicit_complement_system(X, Xbar, S, W, u, h, P, hp)
+        A_ref, B_ref = (M / (2.0 * hp.alpha) for M in explicit_complement_system(X, Xbar, S, W, u, h, P, hp))
         assert np.linalg.norm(A - A_ref) < 1e-10 * np.linalg.norm(A_ref)
         assert np.linalg.norm(B - B_ref) < 1e-10 * np.linalg.norm(B_ref)
         states.append(ClassState(rng.standard_normal((n, k)), P, S, W, h, u, np.ones(N)))
@@ -336,9 +337,9 @@ def test_synthesis_system_rejects_nonfinite(rng, monkeypatch):
 
 
 def test_update_P_in_a_workspace_allocates_no_n_by_n_array(rng):
-    # face scale: given its workspace and 2 alpha G, the P step builds,
-    # factors and checks its system with no n x n array (8 n^2 bytes), and
-    # not even an n x n bool array (n^2 bytes)
+    # face scale: given a plain 2 x n x n buffer, the P step builds, factors
+    # and checks its system with no n x n array (8 n^2 bytes), and not even
+    # an n x n bool array (n^2 bytes)
     if solver._dposv() is None:
         pytest.skip("NumPy's BLAS exports no 64-bit-integer dposv; the LU factors a copy of the system")
     n, N_l, k = 504, 32, 5
@@ -350,10 +351,54 @@ def test_update_P_in_a_workspace_allocates_no_n_by_n_array(rng):
     np.fill_diagonal(W, 0.0)
     u, h = rng.uniform(0.5, 2.0, N_l), rng.uniform(0.5, 2.0, n)
     m, mbar = solver.compute_means(rng.standard_normal((k, n)), X, ds.sample_sum, ds.n_samples)
-    work = (np.empty((2, n, n)), np.multiply(ds.gram, 2.0 * hp.alpha))
+    work = np.empty((2, n, n))
     P = solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp, work)
     assert np.array_equal(P, solver.update_P(X, ds.gram, S, W, u, h, m, mbar, hp))
     assert traced_peak(solver.update_P, X, ds.gram, S, W, u, h, m, mbar, hp, work) < n * n
+
+
+def analysis_inputs(rng, n=6, N_l=9, k=3):
+    """A class block, its codes, weights, diagonals and code means for
+    analysis_system, the dataset's complement making up the Gram matrix."""
+    ds = random_dataset(rng, (N_l, 5), n)
+    X = ds.class_matrix(1)
+    S = np.abs(rng.standard_normal((k, N_l)))
+    W = rng.standard_normal((N_l, N_l))
+    np.fill_diagonal(W, 0.0)
+    u, h = rng.uniform(0.5, 2.0, N_l), rng.uniform(0.5, 2.0, n)
+    m, mbar = solver.compute_means(rng.standard_normal((k, n)), X, ds.sample_sum, ds.n_samples)
+    return ds, X, S, W, u, h, m, mbar
+
+
+def test_alpha0_analysis_system_reads_no_gram_matrix(rng):
+    # at alpha = 0 the system is exactly X_l C X_l' + tau I: a G full of NaN
+    # is never read (0 NaN would be NaN)
+    hp = Hyperparams(alpha=0.0, beta=0.2, lam=0.05, atoms_per_class=3)
+    ds, X, S, W, u, h, m, mbar = analysis_inputs(rng)
+    N_l = X.shape[1]
+    E = np.eye(N_l) - W
+    C = 2.0 * hp.beta * (E @ E.T)
+    C[np.diag_indices(N_l)] += 4.0 * u + 2.0 * hp.lam * (N_l - 1)
+    A_ref = X @ C @ X.T
+    A_ref[np.diag_indices(len(X))] += hp.tau
+    A, B = solver.analysis_system(X, np.full_like(ds.gram, np.nan), S, W, u, h, m, mbar, hp)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(B, solver.analysis_system(X, ds.gram, S, W, u, h, m, mbar, hp)[1])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_beta0_analysis_system_reads_no_weights(rng, alpha):
+    # at beta = 0, C is diagonal: a W_l full of NaN is never read, and A is
+    # exactly X_l C X_l' plus the Gram and h terms (tau I at alpha = 0)
+    hp = Hyperparams(alpha=alpha, beta=0.0, lam=0.05, atoms_per_class=3)
+    ds, X, S, W, u, h, m, mbar = analysis_inputs(rng)
+    N_l, s = X.shape[1], 2.0 * alpha or 1.0
+    A_ref = X @ np.diag((4.0 * u + (2.0 * hp.lam * (N_l - 1) - 2.0 * alpha)) / s) @ X.T
+    if alpha:
+        A_ref += ds.gram
+    A_ref[np.diag_indices(len(X))] += 2.0 * h if alpha else hp.tau
+    A, _ = solver.analysis_system(X, ds.gram, S, np.full_like(W, np.nan), u, h, m, mbar, hp)
+    assert np.array_equal(A, A_ref)
 
 
 # --- code update -------------------------------------------------------------
